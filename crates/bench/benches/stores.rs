@@ -1,8 +1,8 @@
 //! Benchmarks of the client-side prefix stores (Table 2 companion): build
 //! time and lookup latency of the raw table, the delta-coded table, the
 //! Bloom filter and the lead-indexed table at the deployed database size
-//! (~630 k prefixes) and at the 1M-prefix scale the throughput harness
-//! targets; plus the snapshot pipeline (`snapshot_load` — serialize,
+//! (~630 k prefixes) and at the 1M-prefix scale the `benchmark/` workloads
+//! run at; plus the snapshot pipeline (`snapshot_load` — serialize,
 //! validate, deep-verify a 1M-prefix buffer) and the bucket-scan kernels
 //! (`simd_vs_scalar` — the dispatched SIMD scan against the scalar scan
 //! and the binary search, on bucket shapes either side of the crossover).

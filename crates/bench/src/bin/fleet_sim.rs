@@ -1,13 +1,11 @@
-//! Fleet-simulation driver — the `fleet_sim` scenario block of
-//! `BENCH_throughput.json`.
+//! Fleet-simulation driver.
 //!
 //! Runs the `sb-sim` discrete-event fleet (10⁵ clients full, 10⁴ under
 //! `--smoke`) **twice** with the same seed to enforce the determinism
 //! contract (identical report and byte-identical JSON, trace digest
 //! included — the process exits non-zero otherwise), then once more with
 //! provider hint jitter enabled for the thundering-herd comparison, and
-//! splices the results into `BENCH_throughput.json` as a top-level
-//! `fleet_sim` block:
+//! prints the report, also writing it to `target/fleet_sim.json`:
 //!
 //! * `smoke` — run size flag;
 //! * `determinism` — `runs`, `identical` (must be `true`), `trace_digest`;
@@ -21,8 +19,7 @@
 //!
 //! Run: `cargo run --release -p sb-bench --bin fleet_sim` (or `--smoke`).
 //! Scale knobs: `SB_FLEET_CLIENTS` (client count override) and
-//! `SB_FLEET_OUT` (output path, default `BENCH_throughput.json`; created
-//! standalone if the throughput harness has not written it yet).
+//! `SB_FLEET_OUT` (output path, default `target/fleet_sim.json`).
 
 use std::time::Instant;
 
@@ -42,7 +39,7 @@ fn main() {
         config = config.with_clients(clients.parse().expect("SB_FLEET_CLIENTS: not a number"));
     }
     let out_path =
-        std::env::var("SB_FLEET_OUT").unwrap_or_else(|_| "BENCH_throughput.json".to_string());
+        std::env::var("SB_FLEET_OUT").unwrap_or_else(|_| "target/fleet_sim.json".to_string());
 
     eprintln!(
         "fleet_sim: {} clients, {} shards, {}s horizon{}",
@@ -65,7 +62,7 @@ fn main() {
     // The determinism contract is enforced on every run, not just asserted
     // by the test suite: same seed must reproduce the report bit for bit.
     let replay = run_fleet(&config);
-    let identical = primary == replay && primary.to_json(4) == replay.to_json(4);
+    let identical = primary == replay && primary.to_json(2) == replay.to_json(2);
     if !identical {
         eprintln!("fleet_sim: DETERMINISM VIOLATION — same-seed replay diverged");
         std::process::exit(1);
@@ -81,35 +78,19 @@ fn main() {
         primary.herd.peak_after_boot, jittered.herd.peak_after_boot, HERD_JITTER_SECONDS,
     );
 
-    let block = format!(
-        "{{\n    \"smoke\": {smoke},\n    \"determinism\": {{\"runs\": 2, \"identical\": true, \
-         \"trace_digest\": \"{:016x}\"}},\n    \"primary\": {},\n    \"jitter_seconds\": \
-         {HERD_JITTER_SECONDS},\n    \"herd_with_jitter\": {}\n  }}",
+    let json = format!(
+        "{{\n  \"smoke\": {smoke},\n  \"determinism\": {{\"runs\": 2, \"identical\": true, \
+         \"trace_digest\": \"{:016x}\"}},\n  \"primary\": {},\n  \"jitter_seconds\": \
+         {HERD_JITTER_SECONDS},\n  \"herd_with_jitter\": {}\n}}\n",
         primary.trace_digest,
-        primary.to_json(4),
-        jittered.herd.to_json(4),
+        primary.to_json(2),
+        jittered.herd.to_json(2),
     );
 
-    let json = splice(std::fs::read_to_string(&out_path).ok().as_deref(), &block);
-    std::fs::write(&out_path, &json).expect("write BENCH_throughput.json");
-    eprintln!("wrote fleet_sim block to {out_path}");
-}
-
-/// Splices the `fleet_sim` block into an existing `BENCH_throughput.json`
-/// (replacing any previous block — it is always the last top-level key),
-/// or produces a standalone document when the harness has not run yet.
-fn splice(existing: Option<&str>, block: &str) -> String {
-    let Some(existing) = existing else {
-        return format!("{{\n  \"fleet_sim\": {block}\n}}\n");
-    };
-    let trimmed = existing.trim_end();
-    let prefix = if let Some(at) = trimmed.find(",\n  \"fleet_sim\":") {
-        &trimmed[..at]
-    } else {
-        trimmed
-            .strip_suffix('}')
-            .expect("BENCH_throughput.json: not a JSON object")
-            .trim_end()
-    };
-    format!("{prefix},\n  \"fleet_sim\": {block}\n}}\n")
+    print!("{json}");
+    if let Some(dir) = std::path::Path::new(&out_path).parent() {
+        std::fs::create_dir_all(dir).expect("create the report's directory");
+    }
+    std::fs::write(&out_path, &json).expect("write the fleet_sim report");
+    eprintln!("wrote {out_path}");
 }

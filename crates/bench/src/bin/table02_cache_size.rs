@@ -83,7 +83,7 @@ fn main() {
          Bloom filter would be smaller, but it is static and has intrinsic false positives —\n\
          which is why Google kept 32-bit prefixes and the delta-coded table (Section 2.2.2).\n\
          The indexed table is the opposite trade: raw size + a fixed 0.25 MB lead index bought\n\
-         for lookup speed, the backend the throughput harness recommends when memory is not\n\
-         the constraint."
+         for lookup speed, the backend the `benchmark/` workloads run on (compare the backends\n\
+         with `cargo bench -p sb-bench --bench stores`)."
     );
 }

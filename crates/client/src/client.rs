@@ -108,16 +108,6 @@ impl ClientConfig {
         self
     }
 
-    /// Sets the query shaper from a legacy mitigation policy.
-    #[deprecated(
-        since = "0.1.0",
-        note = "construct the shaper directly and use ClientConfig::with_shaper"
-    )]
-    #[allow(deprecated)]
-    pub fn with_mitigation(self, mitigation: crate::MitigationPolicy) -> Self {
-        self.with_shaper_arc(mitigation.into_shaper())
-    }
-
     /// Sets the local database backend.
     pub fn with_backend(mut self, backend: StoreBackend) -> Self {
         self.backend = backend;
@@ -453,7 +443,7 @@ impl SafeBrowsingClient {
     /// policy's back-off cap) and transient unavailability is retried with
     /// deterministic jittered exponential fallback before any error
     /// reaches the caller.  Delays run on the real, sleeping
-    /// [`SystemClock`](crate::SystemClock); use
+    /// [`SystemClock`](sb_protocol::SystemClock); use
     /// [`RetryingTransport::with_clock`](crate::RetryingTransport::with_clock)
     /// directly to inject a virtual clock.
     ///
@@ -1470,14 +1460,6 @@ mod tests {
 
         client.clear_disclosure_ledger();
         assert!(client.disclosure_ledger().is_empty());
-    }
-
-    #[test]
-    fn legacy_mitigation_policy_maps_onto_shapers() {
-        #[allow(deprecated)]
-        let config = ClientConfig::subscribed_to(["goog-malware-shavar"])
-            .with_mitigation(crate::MitigationPolicy::OnePrefixAtATime);
-        assert_eq!(config.shaper.name(), "one-prefix-at-a-time");
     }
 
     #[test]

@@ -524,7 +524,21 @@ impl LocalDatabase {
         if self.shared {
             self.snapshot.load().len()
         } else {
-            self.all_prefixes().len()
+            // Each list contributes the members no earlier list holds, so
+            // the union is counted without being materialised.
+            let mut earlier: Vec<&BTreeSet<Prefix>> = Vec::new();
+            let mut count = 0;
+            for set in self.lists.values() {
+                count += if earlier.is_empty() {
+                    set.len()
+                } else {
+                    set.iter()
+                        .filter(|p| !earlier.iter().any(|seen| seen.contains(p)))
+                        .count()
+                };
+                earlier.push(set);
+            }
+            count
         }
     }
 
@@ -818,6 +832,24 @@ mod tests {
         assert_eq!(stats.overlay_len, 0, "consolidation empties the overlay");
         assert!(db.contains(&Prefix::from_u32(1005)));
         assert_eq!(db.prefix_count(), 110);
+    }
+
+    #[test]
+    fn prefix_count_counts_overlapping_lists_once() {
+        let mut db = LocalDatabase::new(StoreBackend::Indexed, PrefixLen::L32);
+        for list in ["a", "b", "c"] {
+            db.subscribe(list);
+        }
+        db.apply_chunks(&[
+            Chunk::add("a", 1, (0..10).map(Prefix::from_u32).collect()),
+            Chunk::add("b", 1, (5..15).map(Prefix::from_u32).collect()),
+            // Overlaps both earlier lists, and holds one prefix of its own.
+            Chunk::add("c", 1, (8..13).chain([99]).map(Prefix::from_u32).collect()),
+        ])
+        .unwrap();
+        assert_eq!(db.prefix_count(), 16);
+        assert_eq!(db.prefix_count(), db.all_prefixes().len());
+        assert!(format!("{db:?}").contains("prefixes: 16"));
     }
 
     // ---- snapshot persistence --------------------------------------------

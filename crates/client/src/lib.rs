@@ -18,8 +18,8 @@
 //! faults and latency on top of any other transport, and
 //! [`RetryingTransport`] to add the deployed services' retry/backoff policy
 //! (honouring provider back-off delays, deterministic jittered exponential
-//! fallback, injectable [`Clock`]).  Every provider exchange is fallible
-//! (`Result<_, ServiceError>`).
+//! fallback, injectable [`Clock`](sb_protocol::Clock)).  Every provider
+//! exchange is fallible (`Result<_, ServiceError>`).
 //!
 //! ## Example
 //!
@@ -51,7 +51,6 @@ mod database;
 mod driver;
 mod ledger;
 mod metrics;
-mod mitigation;
 mod preview;
 mod retry;
 pub(crate) mod shaper;
@@ -65,19 +64,8 @@ pub use database::{ApplyChunksError, DatabaseReader, LocalDatabase};
 pub use driver::{DriverPolicy, DriverStats, UpdateDriver};
 pub use ledger::{DisclosureGroup, DisclosureLedger, DisclosureRecord};
 pub use metrics::ClientMetrics;
-#[allow(deprecated)]
-pub use mitigation::MitigationPolicy;
 pub use preview::{LookupPreview, PreviewedDecomposition};
 pub use retry::{RetryPolicy, RetryStats, RetryingTransport};
-// The injectable clock's canonical home is `sb-protocol` (the server's
-// shard-health tracking and the telemetry plane use it too).  These
-// aliases survive for source compatibility only.
-#[deprecated(note = "import `Clock` from `sb_protocol` instead")]
-pub use sb_protocol::Clock;
-#[deprecated(note = "import `SystemClock` from `sb_protocol` instead")]
-pub use sb_protocol::SystemClock;
-#[deprecated(note = "import `VirtualClock` from `sb_protocol` instead")]
-pub use sb_protocol::VirtualClock;
 // The end-to-end deadline budget lives in `sb-protocol` (every layer of
 // the stack shares it); re-exported here because transports are where
 // callers meet it.

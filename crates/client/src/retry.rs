@@ -6,7 +6,7 @@
 //! update response carries the minimum delay before the next update
 //! (`next_update_seconds`).  [`RetryingTransport`] packages that whole
 //! policy as a decorator around any other [`Transport`], so the client, the
-//! experiments and the throughput harness gain resilience without changing
+//! experiments and the `benchmark/` workloads gain resilience without changing
 //! shape — exactly how [`SimulatedTransport`](crate::SimulatedTransport)
 //! layers faults.
 //!

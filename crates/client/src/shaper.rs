@@ -18,9 +18,8 @@
 //! revealed to its [`DisclosureLedger`](crate::DisclosureLedger), the
 //! client-side mirror of the provider's query log.
 //!
-//! Built-in shapers (the three legacy
-//! [`MitigationPolicy`](crate::MitigationPolicy) behaviours plus one new
-//! design point):
+//! Built-in shapers (the paper's three Section 8 mitigations plus one
+//! further design point):
 //!
 //! | Shaper | Wire shape | Defeats |
 //! |---|---|---|
@@ -525,6 +524,13 @@ mod tests {
         let unique: HashSet<&Prefix> = a.iter().collect();
         assert_eq!(unique.len(), 16);
         assert!(!a.contains(&real));
+        // The stream is keyed by the real prefix, and asking for none
+        // yields none.
+        assert_ne!(
+            a,
+            dummy_prefixes_for(&prefix32("petsymposium.org/"), 16, &[])
+        );
+        assert!(dummy_prefixes_for(&real, 0, &[]).is_empty());
     }
 
     #[test]

@@ -406,8 +406,8 @@ impl Transport for SimulatedTransport {
 ///
 /// The main use is building provider *fleets*: a
 /// `sb_server::ShardedProvider` shard handle is a service, so wrapping a
-/// [`SimulatedTransport`] in `TransportService` is how the fleet tests and
-/// the throughput harness script per-shard outages.  Keep a clone of the
+/// [`SimulatedTransport`] in `TransportService` is how the fleet tests
+/// script per-shard outages.  Keep a clone of the
 /// inner `Arc` to drive the fault plan:
 ///
 /// ```

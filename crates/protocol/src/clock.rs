@@ -60,8 +60,7 @@ impl Clock for SystemClock {
 
 /// A deterministic [`Clock`] that records every requested sleep instead of
 /// blocking — the injectable clock of the retry, circuit-breaker and
-/// shard-health tests, and of the fault scenarios of the throughput
-/// harness.
+/// shard-health tests, and of the fleet simulation.
 ///
 /// Virtual time advances **only** through [`Clock::sleep`]: [`Clock::now`]
 /// returns the total slept so far, so "wait out the cool-down" is spelled

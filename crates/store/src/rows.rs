@@ -4,7 +4,7 @@
 //! representation: the prefixes as a flat array of `width`-byte rows, sorted
 //! and deduplicated.  Building that array through a `Vec<Vec<u8>>` costs one
 //! heap allocation *per prefix* — ruinous at the 1M-prefix scale the
-//! throughput harness drives — so the rows are collected into a single flat
+//! `benchmark/` workloads drive — so the rows are collected into a single flat
 //! buffer and sorted through a chunk-index permutation instead: O(1)
 //! allocations regardless of the number of prefixes.
 

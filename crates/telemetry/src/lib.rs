@@ -3,7 +3,7 @@
 //! The telemetry plane of the Safe Browsing stack: one [`MetricsRegistry`]
 //! every layer publishes counters, gauges and latency histograms into, one
 //! [`TraceRing`] recording typed cross-layer events, and one stable
-//! serialization (binary over `sb-wire`, JSON for `BENCH_throughput.json`)
+//! serialization (binary over `sb-wire`, JSON for reports)
 //! for scraping a point-in-time [`RegistrySnapshot`] out of a running
 //! process.
 //!
@@ -29,9 +29,10 @@
 //!   locks, so layers register **once at construction** and keep the
 //!   handles.
 //!
-//! The throughput harness's counting allocator enforces the zero-alloc
-//! half of this contract on every CI run: a cache-hit lookup through the
-//! fully-wired client still performs 0 heap allocations.
+//! The root `tests/zero_alloc_lookup.rs` test enforces the zero-alloc
+//! half of this contract under a counting allocator: a locally-resolved
+//! lookup through the fully-wired client still performs 0 heap
+//! allocations.
 //!
 //! ## Clock determinism
 //!
@@ -87,7 +88,7 @@ pub use trace::{TraceEvent, TraceKind, TraceRing, TraceSnapshot, DEFAULT_TRACE_C
 /// whole stack.
 ///
 /// When several instances of the same layer share one `Telemetry` (e.g.
-/// many clients in the throughput harness), their same-named metrics
+/// many clients behind one scrape endpoint), their same-named metrics
 /// resolve to the same registry slots and therefore aggregate; a layer
 /// constructed without an explicit `Telemetry` gets its own private one
 /// and keeps per-instance counts.

@@ -202,8 +202,7 @@ impl MetricsRegistry {
 }
 
 /// A point-in-time copy of a [`MetricsRegistry`]: what the `Telemetry`
-/// wire frame carries and what the `telemetry` blocks in
-/// `BENCH_throughput.json` serialize.
+/// wire frame carries and what [`Self::to_json`] renders.
 ///
 /// Entries are sorted by name (registration order never leaks), so two
 /// snapshots of registries with the same state compare and serialize

@@ -97,8 +97,8 @@ fn main() {
     // ---- picking a store backend ---------------------------------------------
     // Chromium's delta-coded table is the default; `StoreBackend::Indexed`
     // trades a fixed 256 KB lead index for the fastest membership test
-    // (~17x the raw binary search at 1M prefixes — see the stores bench and
-    // `cargo run --release -p sb-bench --bin throughput`).
+    // (`cargo bench -p sb-bench --bench stores` compares the backends at 1M
+    // prefixes; the `benchmark/` workloads run on this one).
     let mut fast = SafeBrowsingClient::in_process(
         ClientConfig::subscribed_to(["goog-malware-shavar"]).with_backend(StoreBackend::Indexed),
         server.clone(),

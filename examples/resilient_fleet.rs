@@ -21,10 +21,10 @@ use std::sync::Arc;
 
 use safe_browsing_privacy::client::{
     ClientConfig, InProcessTransport, RetryPolicy, RetryingTransport, SafeBrowsingClient,
-    SimulatedTransport, TransportService, VirtualClock,
+    SimulatedTransport, TransportService,
 };
 use safe_browsing_privacy::protocol::{
-    FullHashRequest, Provider, SafeBrowsingService, ServiceError, ThreatCategory,
+    FullHashRequest, Provider, SafeBrowsingService, ServiceError, ThreatCategory, VirtualClock,
 };
 use safe_browsing_privacy::server::{SafeBrowsingServer, ShardHandle, ShardedProvider};
 

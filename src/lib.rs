@@ -35,7 +35,7 @@
 //! ([`protocol::ServiceError`]) and latency on top of any other transport,
 //! and [`client::RetryingTransport`] adds the deployed services' retry
 //! policy (provider back-off honoured, deterministic jittered exponential
-//! fallback, injectable [`client::Clock`]).  On the provider side,
+//! fallback, injectable [`protocol::Clock`]).  On the provider side,
 //! [`server::ShardedProvider`] scales the backend to an N-shard fleet that
 //! routes each request by prefix lead byte and degrades — rather than
 //! fails — under partial outage, and [`server::ObservingService`] taps any
@@ -90,11 +90,12 @@
 //! assert!(fast.check_url("http://evil.example/exploit").unwrap().is_malicious());
 //! ```
 //!
-//! The end-to-end hot path is benchmarked by the throughput harness
-//! (`cargo run --release -p sb-bench --bin throughput`), which drives
-//! concurrent clients over a mixed hit/miss workload and records
-//! lookups/sec, allocations per lookup and p50/p99 latency per backend in
-//! `BENCH_throughput.json` — a locally-resolved lookup allocates nothing.
+//! The end-to-end hot path is measured by the repo's benchmark
+//! (`cargo run --release --manifest-path benchmark/Cargo.toml -- --workload
+//! browse_local`; workloads and metrics are declared in `BENCHMARK.json`,
+//! the committed record is `benchmark/results/`), and the invariants it
+//! relies on are tier-1 tests — `tests/zero_alloc_lookup.rs` asserts that a
+//! locally-resolved lookup allocates nothing.
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 

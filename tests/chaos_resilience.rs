@@ -35,13 +35,13 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use safe_browsing_privacy::client::{
-    BreakerPolicy, BreakerState, CircuitBreakerTransport, ClientConfig, Clock, RetryPolicy,
-    RetryingTransport, SafeBrowsingClient, TcpTransport, Transport, VirtualClock,
+    BreakerPolicy, BreakerState, CircuitBreakerTransport, ClientConfig, RetryPolicy,
+    RetryingTransport, SafeBrowsingClient, TcpTransport, Transport,
 };
 use safe_browsing_privacy::hash::Prefix;
 use safe_browsing_privacy::protocol::{
-    FullHashRequest, FullHashResponse, Provider, SafeBrowsingService, ServiceError, ThreatCategory,
-    UpdateRequest, UpdateResponse,
+    Clock, FullHashRequest, FullHashResponse, Provider, SafeBrowsingService, ServiceError,
+    ThreatCategory, UpdateRequest, UpdateResponse, VirtualClock,
 };
 use safe_browsing_privacy::server::{
     ChaosProxy, ChaosSchedule, Fault, HealthPolicy, SafeBrowsingServer, ShardHandle,

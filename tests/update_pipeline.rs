@@ -17,10 +17,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use safe_browsing_privacy::client::{ClientConfig, SafeBrowsingClient, UpdateDriver, VirtualClock};
+use safe_browsing_privacy::client::{ClientConfig, SafeBrowsingClient, UpdateDriver};
 use safe_browsing_privacy::hash::{prefix32, Prefix};
 use safe_browsing_privacy::protocol::{
-    Provider, SafeBrowsingService, ThreatCategory, UpdateRequest,
+    Provider, SafeBrowsingService, ThreatCategory, UpdateRequest, VirtualClock,
 };
 use safe_browsing_privacy::server::SafeBrowsingServer;
 use safe_browsing_privacy::store::StoreBackend;
