@@ -364,7 +364,7 @@ impl<T: Transport> CircuitBreakerTransport<T> {
         }
     }
 
-    /// The admit/call/settle cycle shared by all four exchange methods.
+    /// The admit/call/settle cycle shared by both exchanges.
     fn run<R>(&self, call: impl FnOnce() -> Result<R, ServiceError>) -> Result<R, ServiceError> {
         let was_probe = self.admit()?;
         let result = call();
@@ -377,17 +377,6 @@ impl<T: Transport> CircuitBreakerTransport<T> {
 }
 
 impl<T: Transport> Transport for CircuitBreakerTransport<T> {
-    fn update(&self, request: &UpdateRequest) -> Result<UpdateResponse, ServiceError> {
-        self.run(|| self.inner.update(request))
-    }
-
-    fn full_hashes_batch(
-        &self,
-        requests: &[FullHashRequest],
-    ) -> Result<Vec<FullHashResponse>, ServiceError> {
-        self.run(|| self.inner.full_hashes_batch(requests))
-    }
-
     fn update_within(
         &self,
         request: &UpdateRequest,
@@ -573,20 +562,5 @@ mod tests {
         assert_eq!(stats.opens, 1);
         assert_eq!(stats.closes, 1);
         assert_eq!(retrying.inner().state(), BreakerState::Closed);
-    }
-
-    #[test]
-    fn budgeted_calls_forward_the_budget() {
-        let policy = BreakerPolicy::default();
-        let (_clock, flaky, breaker) = harness(policy);
-        let budget = DeadlineBudget::new(Duration::from_secs(1));
-        let responses = breaker
-            .full_hashes_batch_within(
-                &[FullHashRequest::new(vec![prefix32("a.example/")])],
-                &budget,
-            )
-            .unwrap();
-        assert_eq!(responses.len(), 1);
-        assert_eq!(flaky.stats().full_hash_calls, 1);
     }
 }

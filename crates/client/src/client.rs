@@ -40,8 +40,9 @@ pub struct ClientConfig {
     /// End-to-end deadline for one lookup (or one batched lookup): every
     /// full-hash round trip a `check_*` call performs — including all
     /// retries and backoff sleeps of a budget-aware transport stack —
-    /// draws down this one budget.  `None` (the default) leaves each
-    /// transport layer on its own fixed timeouts.
+    /// draws down this one budget.  `None` (the default) is
+    /// [`DeadlineBudget::unbounded`]: each transport layer's own timeouts
+    /// and attempt cap are the only limits.
     pub lookup_budget: Option<Duration>,
     /// The telemetry plane the client publishes `client.*` metrics and
     /// lookup/update trace events into.  `None` (the default) gives the
@@ -358,7 +359,17 @@ struct LocalHit {
 impl SafeBrowsingClient {
     /// Creates a client from a configuration and an owned transport handle.
     pub fn new(config: ClientConfig, transport: impl Transport + 'static) -> Self {
-        let mut database = LocalDatabase::new(config.backend, config.prefix_len);
+        let database = LocalDatabase::new(config.backend, config.prefix_len);
+        Self::assemble(config, database, Box::new(transport))
+    }
+
+    /// Subscribes `database` to the configured lists and wires it to the
+    /// transport and a freshly registered set of `client.*` metrics.
+    fn assemble(
+        config: ClientConfig,
+        mut database: LocalDatabase,
+        transport: Box<dyn Transport>,
+    ) -> Self {
         for list in &config.lists {
             database.subscribe(list.clone());
         }
@@ -368,7 +379,7 @@ impl SafeBrowsingClient {
             config,
             database,
             cache: FullHashCache::new(),
-            transport: Box::new(transport),
+            transport,
             telemetry,
             counters,
             ledger: DisclosureLedger::new(),
@@ -404,23 +415,9 @@ impl SafeBrowsingClient {
         snapshot: Arc<sb_store::GenerationalStore>,
         transport: impl Transport + 'static,
     ) -> Self {
-        let mut database =
+        let database =
             LocalDatabase::shared_from_snapshot(config.backend, config.prefix_len, snapshot);
-        for list in &config.lists {
-            database.subscribe(list.clone());
-        }
-        let telemetry = config.telemetry.clone().unwrap_or_default();
-        let counters = ClientCounters::register(&telemetry);
-        SafeBrowsingClient {
-            config,
-            database,
-            cache: FullHashCache::new(),
-            transport: Box::new(transport),
-            telemetry,
-            counters,
-            ledger: DisclosureLedger::new(),
-            scratch: LookupScratch::default(),
-        }
+        Self::assemble(config, database, Box::new(transport))
     }
 
     /// Repoints a shared-database client at a newer donor snapshot and
@@ -435,44 +432,6 @@ impl SafeBrowsingClient {
     pub fn rebind_shared_snapshot(&mut self, snapshot: Arc<sb_store::GenerationalStore>) {
         self.database.rebind_snapshot(snapshot);
         self.cache.clear();
-    }
-
-    /// Convenience: a client whose transport is wrapped in a
-    /// [`RetryingTransport`](crate::RetryingTransport) with the given
-    /// policy — provider back-off delays are honoured (bounded by the
-    /// policy's back-off cap) and transient unavailability is retried with
-    /// deterministic jittered exponential fallback before any error
-    /// reaches the caller.  Delays run on the real, sleeping
-    /// [`SystemClock`](sb_protocol::SystemClock); use
-    /// [`RetryingTransport::with_clock`](crate::RetryingTransport::with_clock)
-    /// directly to inject a virtual clock.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use std::sync::Arc;
-    /// use sb_client::{ClientConfig, InProcessTransport, RetryPolicy, SafeBrowsingClient};
-    /// use sb_protocol::{Provider, ThreatCategory};
-    /// use sb_server::SafeBrowsingServer;
-    ///
-    /// let server = Arc::new(SafeBrowsingServer::new(Provider::Google));
-    /// server.create_list("goog-malware-shavar", ThreatCategory::Malware);
-    /// server.blacklist_url("goog-malware-shavar", "http://evil.example/").unwrap();
-    ///
-    /// let mut client = SafeBrowsingClient::with_retries(
-    ///     ClientConfig::subscribed_to(["goog-malware-shavar"]),
-    ///     InProcessTransport::new(server),
-    ///     RetryPolicy::default().with_max_attempts(3),
-    /// );
-    /// client.update().unwrap();
-    /// assert!(client.check_url("http://evil.example/a").unwrap().is_malicious());
-    /// ```
-    pub fn with_retries(
-        config: ClientConfig,
-        transport: impl Transport + 'static,
-        policy: crate::RetryPolicy,
-    ) -> Self {
-        Self::new(config, crate::RetryingTransport::new(transport, policy))
     }
 
     /// Fetches and applies a database update from the provider.  Returns the
@@ -858,16 +817,11 @@ impl SafeBrowsingClient {
     ) -> Result<(), ServiceError> {
         // One deadline budget covers the whole lookup — every wave, every
         // retry, every backoff sleep below draws it down.
-        let budget = self.config.lookup_budget.map(DeadlineBudget::new);
-        self.resolve_shaped_within(hits, ranges, budget.as_ref())
-    }
+        let budget = &self
+            .config
+            .lookup_budget
+            .map_or_else(DeadlineBudget::unbounded, DeadlineBudget::new);
 
-    fn resolve_shaped_within(
-        &mut self,
-        hits: &[LocalHit],
-        ranges: &[(usize, usize)],
-        budget: Option<&DeadlineBudget>,
-    ) -> Result<(), ServiceError> {
         // The shaper's view: prefix + provenance, never the full digest.
         let mut shaper_hits: Vec<ShaperHit> = Vec::with_capacity(hits.len());
         for (url, &(start, end)) in ranges.iter().enumerate() {
@@ -984,7 +938,7 @@ impl SafeBrowsingClient {
         domain_roots: &HashSet<Prefix>,
         record: &mut DisclosureRecord,
         fire_and_forget: bool,
-        budget: Option<&DeadlineBudget>,
+        budget: &DeadlineBudget,
     ) -> Result<(), ServiceError> {
         let wire: Vec<FullHashRequest> = requests
             .iter()
@@ -1014,16 +968,10 @@ impl SafeBrowsingClient {
                     .dummy_prefixes_sent
                     .add(request.dummy_count() as u64);
             }
-            let _ = match budget {
-                Some(budget) => self.transport.full_hashes_batch_within(&wire, budget),
-                None => self.transport.full_hashes_batch(&wire),
-            };
+            let _ = self.transport.full_hashes_batch_within(&wire, budget);
             return Ok(());
         }
-        let responses = match budget {
-            Some(budget) => self.transport.full_hashes_batch_within(&wire, budget)?,
-            None => self.transport.full_hashes_batch(&wire)?,
-        };
+        let responses = self.transport.full_hashes_batch_within(&wire, budget)?;
         if responses.len() != wire.len() {
             // A miscounted batch is the provider violating the protocol —
             // the non-retryable response-side error, as for malformed

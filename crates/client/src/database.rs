@@ -305,24 +305,14 @@ impl LocalDatabase {
     /// [`SnapshotError`] when `bytes` is not a valid snapshot — typed
     /// rejection, never a panic, nothing partially loaded.
     pub fn load_snapshot(bytes: Arc<[u8]>) -> Result<Self, SnapshotError> {
-        Self::load_snapshot_with_policy(bytes, OverlayPolicy::default())
-    }
-
-    /// [`Self::load_snapshot`] with an explicit overlay/rebuild policy.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError`] when `bytes` is not a valid snapshot.
-    pub fn load_snapshot_with_policy(
-        bytes: Arc<[u8]>,
-        policy: OverlayPolicy,
-    ) -> Result<Self, SnapshotError> {
         let shared = SharedSnapshot::new(bytes)?;
         let prefix_len = shared.prefix_len();
-        let store = GenerationalStore::from_shared_snapshot(shared, policy);
-        let mut db = Self::shared_from_snapshot(StoreBackend::Indexed, prefix_len, Arc::new(store));
-        db.policy = policy;
-        Ok(db)
+        let store = GenerationalStore::from_shared_snapshot(shared, OverlayPolicy::default());
+        Ok(Self::shared_from_snapshot(
+            StoreBackend::Indexed,
+            prefix_len,
+            Arc::new(store),
+        ))
     }
 
     /// Repoints a shared database at a newer donor snapshot (an `Arc`

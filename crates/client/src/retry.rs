@@ -326,17 +326,13 @@ impl<T: Transport> RetryingTransport<T> {
     }
 
     /// The delay before retry number `retry` (1-based) of one exchange,
-    /// for the given error.  Updates stats and the jitter stream.
+    /// for the given error.  Advances the jitter stream.
     fn delay_for(&self, error: &ServiceError, retry: u32) -> Duration {
         match error {
             ServiceError::Backoff {
                 retry_after_seconds,
-            } => {
-                self.handles.backoff_retries.inc();
-                Duration::from_secs(*retry_after_seconds).min(self.policy.backoff_cap)
-            }
+            } => Duration::from_secs(*retry_after_seconds).min(self.policy.backoff_cap),
             ServiceError::Unavailable { .. } => {
-                self.handles.unavailable_retries.inc();
                 // Capped exponential: base × 2^(retry-1), saturating.
                 let exp = self
                     .policy
@@ -359,15 +355,15 @@ impl<T: Transport> RetryingTransport<T> {
         }
     }
 
-    /// The retry loop shared by both exchanges.  With a budget, the loop
-    /// stops retrying the moment the budget is spent — or when the next
-    /// backoff delay alone would overshoot what remains, since sleeping
-    /// past the caller's deadline helps nobody — and surfaces the last
-    /// underlying error.  Each delay actually taken is charged against the
-    /// budget (inner layers charge their own I/O time themselves).
+    /// The retry loop shared by both exchanges.  The loop stops retrying
+    /// the moment the budget is spent — or when the next backoff delay
+    /// alone would overshoot what remains, since sleeping past the
+    /// caller's deadline helps nobody — and surfaces the last underlying
+    /// error.  Each delay actually taken is charged against the budget
+    /// (inner layers charge their own I/O time themselves).
     fn run<R>(
         &self,
-        budget: Option<&DeadlineBudget>,
+        budget: &DeadlineBudget,
         mut attempt_exchange: impl FnMut() -> Result<R, ServiceError>,
     ) -> Result<R, ServiceError> {
         let mut attempt = 1u32;
@@ -393,14 +389,18 @@ impl<T: Transport> RetryingTransport<T> {
                 return Err(error);
             }
             let delay = self.delay_for(&error, attempt);
-            if let Some(budget) = budget {
-                if budget.is_exhausted() || delay > budget.remaining() {
-                    self.handles.budget_stops.inc();
-                    return Err(error);
-                }
-                budget.charge(delay);
+            if budget.is_exhausted() || delay > budget.remaining() {
+                self.handles.budget_stops.inc();
+                return Err(error);
             }
+            budget.charge(delay);
+            // Counted only now that the retry is taken, so the per-kind
+            // counters always sum to `retries`.
             self.handles.retries.inc();
+            match error {
+                ServiceError::Backoff { .. } => self.handles.backoff_retries.inc(),
+                _ => self.handles.unavailable_retries.inc(),
+            }
             self.handles.total_delay_ns.add(delay.as_nanos() as u64);
             self.telemetry
                 .event(TraceKind::Retry, delay.as_nanos() as u64);
@@ -408,17 +408,16 @@ impl<T: Transport> RetryingTransport<T> {
             attempt += 1;
         }
     }
+}
 
-    fn run_update(
+impl<T: Transport> Transport for RetryingTransport<T> {
+    fn update_within(
         &self,
         request: &UpdateRequest,
-        budget: Option<&DeadlineBudget>,
+        budget: &DeadlineBudget,
     ) -> Result<UpdateResponse, ServiceError> {
         self.handles.update_calls.inc();
-        let response = self.run(budget, || match budget {
-            Some(budget) => self.inner.update_within(request, budget),
-            None => self.inner.update(request),
-        })?;
+        let response = self.run(budget, || self.inner.update_within(request, budget))?;
         // Stored shifted by one so 0 can mean "no update has succeeded".
         let stored = response
             .next_update_seconds
@@ -428,45 +427,15 @@ impl<T: Transport> RetryingTransport<T> {
         Ok(response)
     }
 
-    fn run_full_hashes(
-        &self,
-        requests: &[FullHashRequest],
-        budget: Option<&DeadlineBudget>,
-    ) -> Result<Vec<FullHashResponse>, ServiceError> {
-        self.handles.full_hash_calls.inc();
-        self.run(budget, || match budget {
-            Some(budget) => self.inner.full_hashes_batch_within(requests, budget),
-            None => self.inner.full_hashes_batch(requests),
-        })
-    }
-}
-
-impl<T: Transport> Transport for RetryingTransport<T> {
-    fn update(&self, request: &UpdateRequest) -> Result<UpdateResponse, ServiceError> {
-        self.run_update(request, None)
-    }
-
-    fn full_hashes_batch(
-        &self,
-        requests: &[FullHashRequest],
-    ) -> Result<Vec<FullHashResponse>, ServiceError> {
-        self.run_full_hashes(requests, None)
-    }
-
-    fn update_within(
-        &self,
-        request: &UpdateRequest,
-        budget: &DeadlineBudget,
-    ) -> Result<UpdateResponse, ServiceError> {
-        self.run_update(request, Some(budget))
-    }
-
     fn full_hashes_batch_within(
         &self,
         requests: &[FullHashRequest],
         budget: &DeadlineBudget,
     ) -> Result<Vec<FullHashResponse>, ServiceError> {
-        self.run_full_hashes(requests, Some(budget))
+        self.handles.full_hash_calls.inc();
+        self.run(budget, || {
+            self.inner.full_hashes_batch_within(requests, budget)
+        })
     }
 }
 
@@ -721,6 +690,10 @@ mod tests {
         // At most two attempts fit: the second delay (~1 s) overshoots what
         // remains of the 600 ms budget.
         assert!(stats.attempts <= 2, "attempts: {}", stats.attempts);
+        assert_eq!(
+            stats.retries,
+            stats.backoff_retries + stats.unavailable_retries
+        );
         // Every delay actually slept was charged.
         assert_eq!(budget.spent(), clock.total_slept());
     }
@@ -750,30 +723,41 @@ mod tests {
         let stats = retrying.stats();
         assert_eq!(stats.attempts, 1, "exactly the first attempt ran");
         assert_eq!(stats.retries, 0);
+        assert_eq!(
+            stats.backoff_retries + stats.unavailable_retries,
+            0,
+            "a retry that was not taken is not counted by kind"
+        );
         assert_eq!(stats.budget_stops, 1);
         assert_eq!(stats.exhausted, 0);
         assert!(clock.sleeps().is_empty(), "no backoff was slept");
     }
 
     #[test]
-    fn a_generous_budget_changes_nothing() {
+    fn an_unbounded_budget_never_stops_a_retry() {
         let (_server, transport) = flaky();
-        transport.push_full_hash_fault(ServiceError::Unavailable {
-            reason: "blip".into(),
-        });
-        let (_clock, retrying) = retrying(transport, RetryPolicy::default());
-        let budget = DeadlineBudget::new(Duration::from_secs(3600));
+        for _ in 0..9 {
+            transport.push_full_hash_fault(ServiceError::Backoff {
+                retry_after_seconds: u64::MAX,
+            });
+        }
+        // Every delay is the largest the default policy honours (the
+        // one-hour back-off cap); `full_hashes_batch` passes the unbounded
+        // budget, which must afford all nine.
+        let policy = RetryPolicy::default().with_max_attempts(10);
+        let (clock, retrying) = retrying(transport, policy);
         let response = retrying
-            .full_hashes_batch_within(
-                &[FullHashRequest::new(vec![prefix32("a.example/")])],
-                &budget,
-            )
+            .full_hashes_batch(&[FullHashRequest::new(vec![prefix32("a.example/")])])
             .unwrap();
         assert_eq!(response.len(), 1);
+        assert_eq!(clock.total_slept(), Duration::from_secs(9 * 60 * 60));
         let stats = retrying.stats();
-        assert_eq!(stats.retries, 1);
+        assert_eq!(stats.retries, 9);
+        assert_eq!(
+            stats.retries,
+            stats.backoff_retries + stats.unavailable_retries
+        );
         assert_eq!(stats.budget_stops, 0);
-        assert!(!budget.is_exhausted());
     }
 
     #[test]

@@ -30,12 +30,14 @@
 //!
 //! # Deadline budgets
 //!
-//! Under [`Transport::full_hashes_batch_within`] /
-//! [`Transport::update_within`], the per-frame I/O timeouts are derived
-//! from the **remaining** [`DeadlineBudget`] (capped by the configured
-//! defaults, floored at [`sb_protocol::MIN_IO_TIMEOUT`]) and the measured
-//! wall time of every attempt is charged back, so a stalling server
-//! cannot eat more of a batch's deadline than the budget allows.
+//! The per-frame I/O timeouts of every exchange are derived from the
+//! **remaining** [`DeadlineBudget`] (capped by the configured defaults,
+//! floored at [`sb_protocol::MIN_IO_TIMEOUT`]) and the measured wall time
+//! of every attempt is charged back, so a stalling server cannot eat more
+//! of a batch's deadline than the budget allows.  Under
+//! [`DeadlineBudget::unbounded`] (what [`Transport::update`] and
+//! [`Transport::full_hashes_batch`] pass) that is exactly the configured
+//! defaults.
 
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
@@ -49,6 +51,10 @@ use sb_telemetry::{Counter, RegistrySnapshot, Telemetry};
 use sb_wire::{encode_frame, read_message, FrameType, Message, WireError};
 
 use crate::transport::Transport;
+
+/// Idle connections the pool keeps; a connection returned to a full pool is
+/// closed.
+const MAX_IDLE_CONNECTIONS: usize = 4;
 
 /// Wire-level counters of a [`TcpTransport`] (monotonic; snapshot via
 /// [`TcpTransport::stats`]).
@@ -117,7 +123,6 @@ impl TcpHandles {
 pub struct TcpTransport {
     addr: SocketAddr,
     pool: Mutex<Vec<TcpStream>>,
-    max_idle: usize,
     connect_timeout: Duration,
     io_timeout: Duration,
     telemetry: Telemetry,
@@ -143,7 +148,6 @@ impl TcpTransport {
         Ok(TcpTransport {
             addr,
             pool: Mutex::new(Vec::new()),
-            max_idle: 4,
             connect_timeout: Duration::from_secs(5),
             io_timeout: Duration::from_secs(30),
             telemetry,
@@ -162,12 +166,6 @@ impl TcpTransport {
     /// The telemetry plane this transport publishes into.
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry
-    }
-
-    /// Caps how many idle connections the pool keeps (default 4).
-    pub fn with_max_idle(mut self, max_idle: usize) -> Self {
-        self.max_idle = max_idle;
-        self
     }
 
     /// Sets the connect and per-frame I/O deadlines (defaults 5 s / 30 s).
@@ -214,7 +212,8 @@ impl TcpTransport {
     /// not implement the admin pair answers with a [`ServiceError`] frame,
     /// surfaced verbatim.
     pub fn scrape_telemetry(&self) -> Result<RegistrySnapshot, ServiceError> {
-        match self.round_trip(&Message::TelemetryRequest, FrameType::Telemetry, None)? {
+        let budget = DeadlineBudget::unbounded();
+        match self.round_trip(&Message::TelemetryRequest, FrameType::Telemetry, &budget)? {
             Message::Telemetry(snapshot) => Ok(snapshot),
             _ => unreachable!("round_trip returned a non-matching frame type"),
         }
@@ -226,7 +225,7 @@ impl TcpTransport {
     }
 
     /// Pops a pooled connection, or opens a fresh one under
-    /// `connect_timeout` (already capped by the budget, if any).  The bool
+    /// `connect_timeout` (already capped by the budget).  The bool
     /// is "this connection was reused" — the caller's licence for one
     /// transparent retry.
     fn checkout(&self, connect_timeout: Duration) -> Result<(TcpStream, bool), ServiceError> {
@@ -266,7 +265,7 @@ impl TcpTransport {
 
     fn checkin(&self, stream: TcpStream) {
         let mut pool = self.pool.lock().expect("tcp pool lock poisoned");
-        if pool.len() < self.max_idle {
+        if pool.len() < MAX_IDLE_CONNECTIONS {
             pool.push(stream);
         }
     }
@@ -281,41 +280,36 @@ impl TcpTransport {
     }
 
     /// The connect/I/O deadlines for one attempt: the configured defaults,
-    /// capped by the remaining budget when one is in force.  A budget that
-    /// is already spent refuses the attempt outright (retryably, so the
-    /// caller's retry layer — which also watches the budget — decides).
+    /// capped by the remaining budget.  A budget that is already spent
+    /// refuses the attempt outright (retryably, so the caller's retry
+    /// layer — which also watches the budget — decides).
     fn attempt_deadlines(
         &self,
-        budget: Option<&DeadlineBudget>,
+        budget: &DeadlineBudget,
     ) -> Result<(Duration, Duration), ServiceError> {
-        match budget {
-            None => Ok((self.connect_timeout, self.io_timeout)),
-            Some(budget) => {
-                if budget.is_exhausted() {
-                    return Err(ServiceError::Unavailable {
-                        reason: format!(
-                            "deadline budget of {:?} exhausted before contacting {}",
-                            budget.total(),
-                            self.addr
-                        ),
-                    });
-                }
-                Ok((
-                    budget.cap_timeout(self.connect_timeout),
-                    budget.cap_timeout(self.io_timeout),
-                ))
-            }
+        if budget.is_exhausted() {
+            return Err(ServiceError::Unavailable {
+                reason: format!(
+                    "deadline budget of {:?} exhausted before contacting {}",
+                    budget.total(),
+                    self.addr
+                ),
+            });
         }
+        Ok((
+            budget.cap_timeout(self.connect_timeout),
+            budget.cap_timeout(self.io_timeout),
+        ))
     }
 
     /// Runs a full round trip, retrying once on a fresh connection when a
     /// reused one turns out dead.  Every attempt's measured wall time is
-    /// charged against the budget, if one is in force.
+    /// charged against the budget.
     fn round_trip(
         &self,
         request: &Message,
         expect: FrameType,
-        budget: Option<&DeadlineBudget>,
+        budget: &DeadlineBudget,
     ) -> Result<Message, ServiceError> {
         let frame = encode_frame(request).map_err(|e| ServiceError::MalformedRequest {
             reason: format!("request could not be encoded: {e}"),
@@ -327,9 +321,7 @@ impl TcpTransport {
             let (mut stream, reused) = self.checkout(connect_timeout)?;
             self.arm_io_deadlines(&stream, io_timeout)?;
             let attempt = self.exchange(&mut stream, &frame);
-            if let Some(budget) = budget {
-                budget.charge(started.elapsed());
-            }
+            budget.charge(started.elapsed());
             match attempt {
                 Ok((reply, bytes_in)) => {
                     self.handles.bytes_sent.add(frame.len() as u64);
@@ -409,11 +401,11 @@ impl TcpTransport {
     }
 }
 
-impl TcpTransport {
-    fn update_round_trip(
+impl Transport for TcpTransport {
+    fn update_within(
         &self,
         request: &UpdateRequest,
-        budget: Option<&DeadlineBudget>,
+        budget: &DeadlineBudget,
     ) -> Result<UpdateResponse, ServiceError> {
         match self.round_trip(
             &Message::UpdateRequest(request.clone()),
@@ -425,10 +417,10 @@ impl TcpTransport {
         }
     }
 
-    fn full_hashes_round_trip(
+    fn full_hashes_batch_within(
         &self,
         requests: &[FullHashRequest],
-        budget: Option<&DeadlineBudget>,
+        budget: &DeadlineBudget,
     ) -> Result<Vec<FullHashResponse>, ServiceError> {
         if requests.is_empty() {
             return Ok(Vec::new()); // batch contract: empty batch is a no-op
@@ -444,35 +436,6 @@ impl TcpTransport {
     }
 }
 
-impl Transport for TcpTransport {
-    fn update(&self, request: &UpdateRequest) -> Result<UpdateResponse, ServiceError> {
-        self.update_round_trip(request, None)
-    }
-
-    fn full_hashes_batch(
-        &self,
-        requests: &[FullHashRequest],
-    ) -> Result<Vec<FullHashResponse>, ServiceError> {
-        self.full_hashes_round_trip(requests, None)
-    }
-
-    fn update_within(
-        &self,
-        request: &UpdateRequest,
-        budget: &DeadlineBudget,
-    ) -> Result<UpdateResponse, ServiceError> {
-        self.update_round_trip(request, Some(budget))
-    }
-
-    fn full_hashes_batch_within(
-        &self,
-        requests: &[FullHashRequest],
-        budget: &DeadlineBudget,
-    ) -> Result<Vec<FullHashResponse>, ServiceError> {
-        self.full_hashes_round_trip(requests, Some(budget))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -485,15 +448,18 @@ mod tests {
     }
 
     #[test]
-    fn without_a_budget_the_configured_defaults_apply() {
+    fn an_unbounded_budget_yields_the_configured_timeouts() {
+        let unbounded = DeadlineBudget::unbounded();
         let transport = idle_transport();
-        let (connect, io) = transport.attempt_deadlines(None).unwrap();
+        let (connect, io) = transport.attempt_deadlines(&unbounded).unwrap();
         assert_eq!(connect, Duration::from_secs(5));
         assert_eq!(io, Duration::from_secs(30));
 
         let tuned =
             idle_transport().with_timeouts(Duration::from_millis(250), Duration::from_millis(750));
-        let (connect, io) = tuned.attempt_deadlines(None).unwrap();
+        // Charges (an attempt's wall time) never turn it into a cap.
+        unbounded.charge(Duration::from_secs(3600));
+        let (connect, io) = tuned.attempt_deadlines(&unbounded).unwrap();
         assert_eq!(connect, Duration::from_millis(250));
         assert_eq!(io, Duration::from_millis(750));
     }
@@ -508,7 +474,7 @@ mod tests {
         let budget = DeadlineBudget::new(Duration::from_millis(800));
         budget.charge(Duration::from_millis(800) - Duration::from_nanos(1));
         assert!(!budget.is_exhausted());
-        let (connect, io) = transport.attempt_deadlines(Some(&budget)).unwrap();
+        let (connect, io) = transport.attempt_deadlines(&budget).unwrap();
         assert_eq!(connect, MIN_IO_TIMEOUT);
         assert_eq!(io, MIN_IO_TIMEOUT);
     }
@@ -518,7 +484,7 @@ mod tests {
         let transport = idle_transport();
         let budget = DeadlineBudget::new(Duration::from_millis(100));
         budget.charge(Duration::from_millis(100));
-        let err = transport.attempt_deadlines(Some(&budget)).unwrap_err();
+        let err = transport.attempt_deadlines(&budget).unwrap_err();
         assert!(
             matches!(err, ServiceError::Unavailable { .. }),
             "expected Unavailable, got {err:?}"
@@ -531,7 +497,7 @@ mod tests {
         let transport = idle_transport();
         let budget = DeadlineBudget::new(Duration::from_secs(10));
         budget.charge(Duration::from_secs(4));
-        let (connect, io) = transport.attempt_deadlines(Some(&budget)).unwrap();
+        let (connect, io) = transport.attempt_deadlines(&budget).unwrap();
         // 6 s remain: the 5 s connect default fits, the 30 s I/O default
         // is capped down to what is left.
         assert_eq!(connect, Duration::from_secs(5));

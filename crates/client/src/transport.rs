@@ -12,7 +12,7 @@
 //!   overhead — the configuration used by the reproduction experiments;
 //! * [`SimulatedTransport`] decorates another transport with deterministic
 //!   fault injection (scripted errors, every-Nth failures) and optional
-//!   per-round-trip latency, for the failure-mode scenarios.
+//!   accounted per-round-trip latency, for the failure-mode scenarios.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
@@ -29,43 +29,26 @@ use sb_protocol::{
 /// return one response per request, in request order, and an empty batch is
 /// a no-op.  Implementations must be usable from multiple client threads
 /// (`Send + Sync`) and printable for diagnostics (`Debug`).
+///
+/// # Implementing
+///
+/// Implement [`Self::update_within`] and [`Self::full_hashes_batch_within`]
+/// — the two protocol exchanges, each under the caller's
+/// [`DeadlineBudget`] — and nothing else.  A decorator passes the budget it
+/// was given to the transport it wraps; a leaf that cannot time out (an
+/// in-process call) may ignore it.  [`Self::update`],
+/// [`Self::full_hashes_batch`] and [`Self::full_hashes`] are conveniences
+/// for callers with no deadline: they pass
+/// [`DeadlineBudget::unbounded`].  There is no budget-less exchange to
+/// implement, so a decorator cannot forget to forward the deadline — it
+/// would have nothing to call.
 pub trait Transport: Send + Sync + std::fmt::Debug {
-    /// Performs a database-update round trip.
-    ///
-    /// # Errors
-    ///
-    /// Any [`ServiceError`] from the provider or the path to it.
-    fn update(&self, request: &UpdateRequest) -> Result<UpdateResponse, ServiceError>;
-
-    /// Performs one full-hash round trip carrying a batch of requests.
-    ///
-    /// # Errors
-    ///
-    /// Any [`ServiceError`] from the provider or the path to it.
-    fn full_hashes_batch(
-        &self,
-        requests: &[FullHashRequest],
-    ) -> Result<Vec<FullHashResponse>, ServiceError>;
-
-    /// Performs a single-request full-hash round trip.
-    ///
-    /// # Errors
-    ///
-    /// Propagates batch errors; the non-retryable error of
-    /// [`sb_protocol::expect_single_response`] if the provider miscounts
-    /// the batch.
-    fn full_hashes(&self, request: &FullHashRequest) -> Result<FullHashResponse, ServiceError> {
-        sb_protocol::expect_single_response(self.full_hashes_batch(std::slice::from_ref(request))?)
-    }
-
     /// Performs a database-update round trip under an end-to-end
     /// [`DeadlineBudget`].
     ///
     /// Budget-aware transports (the retry layer, the TCP transport) charge
     /// the time they consume against the budget and refuse to start work
-    /// once it is exhausted; the default implementation ignores the budget
-    /// and delegates, so every existing [`Transport`] keeps compiling and
-    /// simply opts out.
+    /// once it is exhausted.
     ///
     /// # Errors
     ///
@@ -76,10 +59,7 @@ pub trait Transport: Send + Sync + std::fmt::Debug {
         &self,
         request: &UpdateRequest,
         budget: &DeadlineBudget,
-    ) -> Result<UpdateResponse, ServiceError> {
-        let _ = budget;
-        self.update(request)
-    }
+    ) -> Result<UpdateResponse, ServiceError>;
 
     /// Performs one full-hash round trip carrying a batch of requests
     /// under an end-to-end [`DeadlineBudget`]; see [`Self::update_within`]
@@ -87,15 +67,44 @@ pub trait Transport: Send + Sync + std::fmt::Debug {
     ///
     /// # Errors
     ///
-    /// As [`Self::full_hashes_batch`], plus budget exhaustion for
-    /// budget-aware implementations.
+    /// Any [`ServiceError`] from the provider or the path to it, plus
+    /// budget exhaustion for budget-aware implementations.
     fn full_hashes_batch_within(
         &self,
         requests: &[FullHashRequest],
         budget: &DeadlineBudget,
+    ) -> Result<Vec<FullHashResponse>, ServiceError>;
+
+    /// [`Self::update_within`] for a caller with no deadline.
+    ///
+    /// # Errors
+    ///
+    /// Any [`ServiceError`] from the provider or the path to it.
+    fn update(&self, request: &UpdateRequest) -> Result<UpdateResponse, ServiceError> {
+        self.update_within(request, &DeadlineBudget::unbounded())
+    }
+
+    /// [`Self::full_hashes_batch_within`] for a caller with no deadline.
+    ///
+    /// # Errors
+    ///
+    /// Any [`ServiceError`] from the provider or the path to it.
+    fn full_hashes_batch(
+        &self,
+        requests: &[FullHashRequest],
     ) -> Result<Vec<FullHashResponse>, ServiceError> {
-        let _ = budget;
-        self.full_hashes_batch(requests)
+        self.full_hashes_batch_within(requests, &DeadlineBudget::unbounded())
+    }
+
+    /// Performs a single-request full-hash round trip with no deadline.
+    ///
+    /// # Errors
+    ///
+    /// Propagates batch errors; the non-retryable error of
+    /// [`sb_protocol::expect_single_response`] if the provider miscounts
+    /// the batch.
+    fn full_hashes(&self, request: &FullHashRequest) -> Result<FullHashResponse, ServiceError> {
+        sb_protocol::expect_single_response(self.full_hashes_batch(std::slice::from_ref(request))?)
     }
 }
 
@@ -103,19 +112,6 @@ pub trait Transport: Send + Sync + std::fmt::Debug {
 /// experiment keep a handle (to script faults, read stats) while the client
 /// owns the other.
 impl<T: Transport + ?Sized> Transport for Arc<T> {
-    fn update(&self, request: &UpdateRequest) -> Result<UpdateResponse, ServiceError> {
-        (**self).update(request)
-    }
-
-    fn full_hashes_batch(
-        &self,
-        requests: &[FullHashRequest],
-    ) -> Result<Vec<FullHashResponse>, ServiceError> {
-        (**self).full_hashes_batch(requests)
-    }
-
-    // The budget-aware methods must forward explicitly — the defaults
-    // would silently strip the budget from the wrapped transport.
     fn update_within(
         &self,
         request: &UpdateRequest,
@@ -171,13 +167,20 @@ impl<S> Transport for InProcessTransport<S>
 where
     S: SafeBrowsingService + Send + Sync + std::fmt::Debug,
 {
-    fn update(&self, request: &UpdateRequest) -> Result<UpdateResponse, ServiceError> {
+    // A direct call cannot time out: the budget is neither consulted nor
+    // charged.
+    fn update_within(
+        &self,
+        request: &UpdateRequest,
+        _budget: &DeadlineBudget,
+    ) -> Result<UpdateResponse, ServiceError> {
         self.service.update(request)
     }
 
-    fn full_hashes_batch(
+    fn full_hashes_batch_within(
         &self,
         requests: &[FullHashRequest],
+        _budget: &DeadlineBudget,
     ) -> Result<Vec<FullHashResponse>, ServiceError> {
         self.service.full_hashes_batch(requests)
     }
@@ -215,9 +218,9 @@ struct SimulatedState {
 ///
 /// Failures are deterministic: either scripted per-call (push an error, the
 /// next call of that kind returns it) or periodic (every Nth round trip
-/// fails).  Latency is simulated per round trip — batched lookups therefore
-/// pay it once where per-URL lookups pay it per request, which is exactly
-/// the effect the batched client API exists to exploit.
+/// fails).  Latency is accounted per round trip (nothing sleeps) — batched
+/// lookups therefore pay it once where per-URL lookups pay it per request,
+/// which is exactly the effect the batched client API exists to exploit.
 ///
 /// # Examples
 ///
@@ -238,9 +241,6 @@ struct SimulatedState {
 pub struct SimulatedTransport {
     inner: Box<dyn Transport>,
     latency_per_round_trip: Duration,
-    /// When true, simulated latency is actually slept (wall-clock faithful,
-    /// for benchmarks); when false it is only accounted in the stats.
-    sleep_latency: bool,
     state: Mutex<SimulatedState>,
 }
 
@@ -250,7 +250,6 @@ impl SimulatedTransport {
         SimulatedTransport {
             inner: Box::new(inner),
             latency_per_round_trip: Duration::ZERO,
-            sleep_latency: false,
             state: Mutex::new(SimulatedState::default()),
         }
     }
@@ -259,14 +258,6 @@ impl SimulatedTransport {
     /// [`TransportStats::simulated_latency`].
     pub fn with_latency(mut self, latency: Duration) -> Self {
         self.latency_per_round_trip = latency;
-        self
-    }
-
-    /// Makes [`Self::with_latency`] latency real (the transport sleeps), so
-    /// wall-clock measurements see it.
-    pub fn with_blocking_latency(mut self, latency: Duration) -> Self {
-        self.latency_per_round_trip = latency;
-        self.sleep_latency = true;
         self
     }
 
@@ -298,92 +289,45 @@ impl SimulatedTransport {
             .expect("simulated transport lock poisoned")
     }
 
-    /// Accounts one round trip; returns an injected error when the fault
-    /// plan says this round trip fails.
-    fn begin_round_trip(&self, scripted: bool, state: &mut SimulatedState) -> Option<ServiceError> {
+    /// Accounts one round trip and runs the fault plan.  `count_and_pop`
+    /// bumps the exchange's own call counter and pops its next scripted
+    /// fault.  `Err` is the injected fault (scripted first, then
+    /// periodic), `Ok(())` means the call may proceed to the inner
+    /// transport.
+    fn preamble(
+        &self,
+        count_and_pop: impl FnOnce(&mut SimulatedState) -> Option<ServiceError>,
+    ) -> Result<(), ServiceError> {
+        let mut state = self.state();
         state.round_trips += 1;
         state.stats.simulated_latency += self.latency_per_round_trip;
-        if scripted {
-            return None; // the caller already popped a scripted fault
-        }
-        if let Some((n, error)) = &state.fail_every {
-            if state.round_trips.is_multiple_of(*n) {
-                return Some(error.clone());
+        let fault = count_and_pop(&mut state).or_else(|| match &state.fail_every {
+            Some((n, error)) if state.round_trips.is_multiple_of(*n) => Some(error.clone()),
+            _ => None,
+        });
+        match fault {
+            Some(error) => {
+                state.stats.faults_injected += 1;
+                Err(error)
             }
-        }
-        None
-    }
-
-    fn simulate_latency(&self) {
-        if self.sleep_latency && !self.latency_per_round_trip.is_zero() {
-            std::thread::sleep(self.latency_per_round_trip);
+            None => Ok(()),
         }
     }
 }
 
-impl SimulatedTransport {
-    /// Runs the fault plan for one update round trip; `Err` is the
-    /// injected fault, `Ok(())` means the call may proceed to the inner
-    /// transport.
-    fn update_preamble(&self) -> Result<(), ServiceError> {
-        let fault = {
-            let mut state = self.state();
-            state.stats.update_calls += 1;
-            let scripted = state.update_faults.pop_front();
-            let periodic = self.begin_round_trip(scripted.is_some(), &mut state);
-            scripted.or(periodic)
-        };
-        self.simulate_latency();
-        if let Some(error) = fault {
-            self.state().stats.faults_injected += 1;
-            return Err(error);
-        }
-        Ok(())
-    }
-
-    /// The full-hash counterpart of [`Self::update_preamble`].
-    fn full_hash_preamble(&self) -> Result<(), ServiceError> {
-        let fault = {
-            let mut state = self.state();
-            state.stats.full_hash_calls += 1;
-            let scripted = state.full_hash_faults.pop_front();
-            let periodic = self.begin_round_trip(scripted.is_some(), &mut state);
-            scripted.or(periodic)
-        };
-        self.simulate_latency();
-        if let Some(error) = fault {
-            self.state().stats.faults_injected += 1;
-            return Err(error);
-        }
-        Ok(())
-    }
-}
-
+// A decorator forwards the budget; injected faults and simulated latency do
+// not charge it (they model the *provider's* behaviour, not time this
+// process spent).
 impl Transport for SimulatedTransport {
-    fn update(&self, request: &UpdateRequest) -> Result<UpdateResponse, ServiceError> {
-        self.update_preamble()?;
-        self.inner.update(request)
-    }
-
-    fn full_hashes_batch(
-        &self,
-        requests: &[FullHashRequest],
-    ) -> Result<Vec<FullHashResponse>, ServiceError> {
-        self.full_hash_preamble()?;
-        let responses = self.inner.full_hashes_batch(requests)?;
-        self.state().stats.full_hash_requests_carried += requests.len();
-        Ok(responses)
-    }
-
-    // A decorator forwards the budget; injected faults and simulated
-    // latency do not charge it (they model the *provider's* behaviour, not
-    // time this process spent).
     fn update_within(
         &self,
         request: &UpdateRequest,
         budget: &DeadlineBudget,
     ) -> Result<UpdateResponse, ServiceError> {
-        self.update_preamble()?;
+        self.preamble(|state| {
+            state.stats.update_calls += 1;
+            state.update_faults.pop_front()
+        })?;
         self.inner.update_within(request, budget)
     }
 
@@ -392,7 +336,10 @@ impl Transport for SimulatedTransport {
         requests: &[FullHashRequest],
         budget: &DeadlineBudget,
     ) -> Result<Vec<FullHashResponse>, ServiceError> {
-        self.full_hash_preamble()?;
+        self.preamble(|state| {
+            state.stats.full_hash_calls += 1;
+            state.full_hash_faults.pop_front()
+        })?;
         let responses = self.inner.full_hashes_batch_within(requests, budget)?;
         self.state().stats.full_hash_requests_carried += requests.len();
         Ok(responses)
@@ -465,6 +412,95 @@ mod tests {
         server.create_list("goog-malware-shavar", ThreatCategory::Malware);
         let transport = InProcessTransport::new(server.clone());
         (server, transport)
+    }
+
+    /// A leaf that records the budget each exchange arrived with and
+    /// charges it, so the caller can tell its own budget reached the leaf.
+    #[derive(Debug, Default)]
+    struct RecordingLeaf {
+        totals_seen: Mutex<Vec<Duration>>,
+    }
+
+    const LEAF_CHARGE: Duration = Duration::from_millis(7);
+
+    impl RecordingLeaf {
+        fn note(&self, budget: &DeadlineBudget) {
+            self.totals_seen.lock().unwrap().push(budget.total());
+            budget.charge(LEAF_CHARGE);
+        }
+    }
+
+    impl Transport for RecordingLeaf {
+        fn update_within(
+            &self,
+            _: &UpdateRequest,
+            budget: &DeadlineBudget,
+        ) -> Result<UpdateResponse, ServiceError> {
+            self.note(budget);
+            Ok(UpdateResponse::default())
+        }
+
+        fn full_hashes_batch_within(
+            &self,
+            requests: &[FullHashRequest],
+            budget: &DeadlineBudget,
+        ) -> Result<Vec<FullHashResponse>, ServiceError> {
+            self.note(budget);
+            Ok(vec![FullHashResponse::default(); requests.len()])
+        }
+    }
+
+    #[test]
+    fn every_decorator_hands_the_callers_budget_to_the_leaf() {
+        use crate::{BreakerPolicy, CircuitBreakerTransport, RetryPolicy, RetryingTransport};
+
+        type Wrap = fn(Arc<RecordingLeaf>) -> Box<dyn Transport>;
+        let decorators: [(&str, Wrap); 5] = [
+            ("Arc", |leaf| Box::new(leaf)),
+            ("SimulatedTransport", |leaf| {
+                Box::new(SimulatedTransport::new(leaf))
+            }),
+            ("CircuitBreakerTransport", |leaf| {
+                Box::new(CircuitBreakerTransport::new(leaf, BreakerPolicy::default()))
+            }),
+            ("RetryingTransport", |leaf| {
+                Box::new(RetryingTransport::new(leaf, RetryPolicy::default()))
+            }),
+            ("all four stacked", |leaf| {
+                Box::new(Arc::new(RetryingTransport::new(
+                    CircuitBreakerTransport::new(
+                        SimulatedTransport::new(leaf),
+                        BreakerPolicy::default(),
+                    ),
+                    RetryPolicy::default(),
+                )))
+            }),
+        ];
+        let total = Duration::from_millis(1234);
+        let request = FullHashRequest::new(vec![prefix32("a.example/")]);
+        for (name, wrap) in decorators {
+            let leaf = Arc::new(RecordingLeaf::default());
+            let transport = wrap(leaf.clone());
+
+            let budget = DeadlineBudget::new(total);
+            transport
+                .update_within(&UpdateRequest::default(), &budget)
+                .unwrap();
+            assert_eq!(budget.spent(), LEAF_CHARGE, "{name}: update");
+            transport
+                .full_hashes_batch_within(std::slice::from_ref(&request), &budget)
+                .unwrap();
+            assert_eq!(budget.spent(), 2 * LEAF_CHARGE, "{name}: full hashes");
+
+            // The budget-less conveniences arrive as the unbounded budget.
+            transport.update(&UpdateRequest::default()).unwrap();
+            transport.full_hashes(&request).unwrap();
+            assert_eq!(
+                *leaf.totals_seen.lock().unwrap(),
+                [total, total, Duration::MAX, Duration::MAX],
+                "{name}"
+            );
+        }
     }
 
     #[test]

@@ -68,6 +68,14 @@ impl DeadlineBudget {
         }
     }
 
+    /// The budget of a caller with no deadline: `total` is
+    /// [`Duration::MAX`], so [`Self::cap_timeout`] always yields the
+    /// layer's own default and [`Self::is_exhausted`] is never true
+    /// (charges saturate far below the total).
+    pub fn unbounded() -> Self {
+        DeadlineBudget::new(Duration::MAX)
+    }
+
     /// The budget this deadline started with.
     pub fn total(&self) -> Duration {
         self.total
@@ -156,6 +164,19 @@ mod tests {
         assert_eq!(budget.remaining(), Duration::ZERO);
         assert!(budget.is_exhausted());
         assert_eq!(budget.cap_timeout(Duration::from_secs(30)), MIN_IO_TIMEOUT);
+    }
+
+    #[test]
+    fn an_unbounded_budget_never_caps_and_never_exhausts() {
+        let budget = DeadlineBudget::unbounded();
+        assert_eq!(budget.total(), Duration::MAX);
+        budget.charge(Duration::MAX);
+        budget.charge(Duration::MAX);
+        assert!(!budget.is_exhausted());
+        assert_eq!(
+            budget.cap_timeout(Duration::from_secs(30)),
+            Duration::from_secs(30)
+        );
     }
 
     #[test]

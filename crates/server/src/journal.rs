@@ -77,8 +77,8 @@ pub struct JournalStats {
     pub compactions: usize,
 }
 
-/// The journal's registered metric handles, mirroring its lifetime
-/// counters into a [`Telemetry`] registry (under `journal.*`).
+/// The journal's registered metric handles (under `journal.*`): the only
+/// store of its lifetime counters, read back by [`ChunkJournal::stats`].
 #[derive(Debug)]
 struct JournalHandles {
     appends: Counter,
@@ -97,6 +97,15 @@ impl JournalHandles {
             compactions: metrics.counter("journal.compactions"),
         }
     }
+
+    fn counters(&self) -> [&Counter; 4] {
+        [
+            &self.appends,
+            &self.netted_prefixes,
+            &self.dropped_chunks,
+            &self.compactions,
+        ]
+    }
 }
 
 /// The server's chunk journal: one per-list journal with append, delta
@@ -107,10 +116,6 @@ pub struct ChunkJournal {
     /// A list is compacted automatically when its live chunk count exceeds
     /// this bound after an append.
     auto_compact_above: usize,
-    appends: usize,
-    netted_prefixes: usize,
-    dropped_chunks: usize,
-    compactions: usize,
     telemetry: Telemetry,
     handles: JournalHandles,
 }
@@ -132,10 +137,6 @@ impl ChunkJournal {
         ChunkJournal {
             lists: BTreeMap::new(),
             auto_compact_above,
-            appends: 0,
-            netted_prefixes: 0,
-            dropped_chunks: 0,
-            compactions: 0,
             telemetry,
             handles,
         }
@@ -143,9 +144,15 @@ impl ChunkJournal {
 
     /// Publishes the journal's counters (and chunk-apply / compaction
     /// trace events) into a shared [`Telemetry`] plane instead of the
-    /// private default one.
+    /// one it has published into so far; the counts so far are added onto
+    /// the new plane, so [`Self::stats`] loses nothing.  Pass a plane other than
+    /// the current one: its own counts would be added to themselves.
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
-        self.handles = JournalHandles::register(&telemetry);
+        let handles = JournalHandles::register(&telemetry);
+        for (to, from) in handles.counters().into_iter().zip(self.handles.counters()) {
+            to.add(from.get());
+        }
+        self.handles = handles;
         self.telemetry = telemetry;
         self
     }
@@ -172,7 +179,6 @@ impl ChunkJournal {
         let len = journal.chunks.len();
         let due =
             len > self.auto_compact_above && len >= journal.compacted_at + journal.compacted_at / 2;
-        self.appends += 1;
         self.handles.appends.inc();
         self.telemetry
             .event(TraceKind::ChunkApply, prefix_count as u64);
@@ -241,14 +247,16 @@ impl ChunkJournal {
         }
     }
 
-    /// Aggregate statistics.
+    /// Aggregate statistics: the live-journal fields are counted here, the
+    /// lifetime counters are a view over the `journal.*` metrics in the
+    /// telemetry registry.
     pub fn stats(&self) -> JournalStats {
         let mut stats = JournalStats {
             lists: self.lists.len(),
-            appends: self.appends,
-            netted_prefixes: self.netted_prefixes,
-            dropped_chunks: self.dropped_chunks,
-            compactions: self.compactions,
+            appends: self.handles.appends.get() as usize,
+            netted_prefixes: self.handles.netted_prefixes.get() as usize,
+            dropped_chunks: self.handles.dropped_chunks.get() as usize,
+            compactions: self.handles.compactions.get() as usize,
             ..JournalStats::default()
         };
         for journal in self.lists.values() {
@@ -274,7 +282,6 @@ impl ChunkJournal {
         if netted.is_empty() {
             journal.compacted_at = journal.chunks.len();
             let live = journal.chunks.len();
-            self.compactions += 1;
             self.handles.compactions.inc();
             self.telemetry.event(TraceKind::Compaction, live as u64);
             return;
@@ -295,9 +302,6 @@ impl ChunkJournal {
         journal.compacted_at = kept.len();
         journal.chunks = kept;
         let live = journal.compacted_at;
-        self.netted_prefixes += netted_count;
-        self.dropped_chunks += dropped;
-        self.compactions += 1;
         self.handles.netted_prefixes.add(netted_count as u64);
         self.handles.dropped_chunks.add(dropped as u64);
         self.handles.compactions.inc();
@@ -581,5 +585,35 @@ mod tests {
         let stats = journal.stats();
         assert_eq!(stats.lists, 2);
         assert_eq!(stats.live_prefixes, 4);
+    }
+
+    #[test]
+    fn stats_and_registry_agree_after_a_late_with_telemetry() {
+        let mut journal = ChunkJournal::new(2);
+        journal.append(list(), ChunkKind::Add, vec![p(1), p(2)]);
+        journal.append(list(), ChunkKind::Add, vec![p(3)]);
+        journal.append(list(), ChunkKind::Sub, vec![p(3)]);
+        let before = journal.stats();
+        assert!(before.compactions >= 1 && before.dropped_chunks == 1);
+
+        // The counts so far move onto the new plane; later events land on
+        // it too, so the two views never diverge.
+        let plane = Telemetry::default();
+        let mut journal = journal.with_telemetry(plane.clone());
+        assert_eq!(journal.stats(), before);
+        journal.append(list(), ChunkKind::Add, vec![p(4)]);
+        journal.compact_all();
+
+        let stats = journal.stats();
+        let registry = plane.snapshot();
+        assert_eq!(stats.appends, before.appends + 1);
+        for (name, field) in [
+            ("journal.appends", stats.appends),
+            ("journal.netted_prefixes", stats.netted_prefixes),
+            ("journal.dropped_chunks", stats.dropped_chunks),
+            ("journal.compactions", stats.compactions),
+        ] {
+            assert_eq!(registry.counter(name), Some(field as u64), "{name}");
+        }
     }
 }

@@ -123,10 +123,11 @@ impl HealthPolicy {
     }
 }
 
-/// The fleet's registered metric handles, mirroring the aggregate fields
-/// of [`FleetStats`] into a [`Telemetry`] registry (under `fleet.*`).  The
-/// per-shard vectors stay in [`FleetStats`] only — the registry carries
-/// fleet-wide totals.
+/// The fleet's registered metric handles (under `fleet.*`): the only store
+/// of the aggregate fields of [`FleetStats`], read back by
+/// [`ShardedProvider::stats`].  The registry carries fleet-wide totals; the
+/// per-shard breakdown of `requests_routed` and `shard_failures` lives in
+/// [`PerShard`].
 #[derive(Debug)]
 struct FleetHandles {
     batches: Counter,
@@ -157,6 +158,29 @@ impl FleetHandles {
             slow_responses: metrics.counter("fleet.slow_responses"),
         }
     }
+
+    fn counters(&self) -> [&Counter; 10] {
+        [
+            &self.batches,
+            &self.requests_routed,
+            &self.shard_failures,
+            &self.degraded_requests,
+            &self.update_failovers,
+            &self.quarantines,
+            &self.reinstatements,
+            &self.probes,
+            &self.quarantined_skips,
+            &self.slow_responses,
+        ]
+    }
+}
+
+/// The per-shard vectors of [`FleetStats`], by shard index — the fleet's
+/// only mutex-guarded counts.
+#[derive(Debug)]
+struct PerShard {
+    requests_routed: Vec<usize>,
+    shard_failures: Vec<usize>,
 }
 
 /// Per-shard health memory (only consulted when a policy is installed).
@@ -203,7 +227,7 @@ struct ShardHealth {
 #[derive(Debug)]
 pub struct ShardedProvider {
     shards: Vec<ShardHandle>,
-    stats: Mutex<FleetStats>,
+    per_shard: Mutex<PerShard>,
     health_policy: Option<HealthPolicy>,
     health: Mutex<Vec<ShardHealth>>,
     clock: Box<dyn Clock>,
@@ -223,17 +247,16 @@ impl ShardedProvider {
             !shards.is_empty(),
             "a provider fleet needs at least one shard"
         );
-        let stats = FleetStats {
+        let per_shard = PerShard {
             requests_routed: vec![0; shards.len()],
             shard_failures: vec![0; shards.len()],
-            ..FleetStats::default()
         };
         let health = vec![ShardHealth::default(); shards.len()];
         let telemetry = Telemetry::default();
         let handles = FleetHandles::register(&telemetry);
         ShardedProvider {
             shards,
-            stats: Mutex::new(stats),
+            per_shard: Mutex::new(per_shard),
             health_policy: None,
             health: Mutex::new(health),
             clock: Box::new(SystemClock),
@@ -259,10 +282,16 @@ impl ShardedProvider {
     }
 
     /// Publishes the fleet's aggregate counters (and quarantine trace
-    /// events) into a shared [`Telemetry`] plane instead of the private
-    /// default one.
+    /// events) into a shared [`Telemetry`] plane instead of the one it has
+    /// published into so far; the counts so far are added onto the new
+    /// plane, so [`Self::stats`] loses nothing.  Pass a plane other than
+    /// the current one: its own counts would be added to themselves.
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
-        self.handles = FleetHandles::register(&telemetry);
+        let handles = FleetHandles::register(&telemetry);
+        for (to, from) in handles.counters().into_iter().zip(self.handles.counters()) {
+            to.add(from.get());
+        }
+        self.handles = handles;
         self.telemetry = telemetry;
         self
     }
@@ -312,13 +341,36 @@ impl ShardedProvider {
         lead * self.shards.len() / 256
     }
 
-    /// The counters accumulated so far.
+    /// The counters accumulated so far: the aggregate fields are a view
+    /// over the `fleet.*` metrics in the telemetry registry, the per-shard
+    /// vectors are the fleet's own.
     pub fn stats(&self) -> FleetStats {
-        self.lock_stats().clone()
+        let handles = &self.handles;
+        let per_shard = self.lock_per_shard();
+        FleetStats {
+            batches: handles.batches.get() as usize,
+            requests_routed: per_shard.requests_routed.clone(),
+            shard_failures: per_shard.shard_failures.clone(),
+            degraded_requests: handles.degraded_requests.get() as usize,
+            update_failovers: handles.update_failovers.get() as usize,
+            quarantines: handles.quarantines.get() as usize,
+            reinstatements: handles.reinstatements.get() as usize,
+            probes: handles.probes.get() as usize,
+            quarantined_skips: handles.quarantined_skips.get() as usize,
+            slow_responses: handles.slow_responses.get() as usize,
+        }
     }
 
-    fn lock_stats(&self) -> std::sync::MutexGuard<'_, FleetStats> {
-        self.stats.lock().expect("fleet stats lock poisoned")
+    fn lock_per_shard(&self) -> std::sync::MutexGuard<'_, PerShard> {
+        self.per_shard
+            .lock()
+            .expect("fleet per-shard counts lock poisoned")
+    }
+
+    /// Counts one retryable failure of `shard`.
+    fn note_shard_failure(&self, shard: usize) {
+        self.lock_per_shard().shard_failures[shard] += 1;
+        self.handles.shard_failures.inc();
     }
 
     fn lock_health(&self) -> std::sync::MutexGuard<'_, Vec<ShardHealth>> {
@@ -334,7 +386,7 @@ impl ShardedProvider {
         };
         let now = self.clock.now();
         // Compute transitions under the health lock, bump counters after
-        // releasing it (stats and health locks are never held together).
+        // releasing it.
         let (quarantined, reinstated) = {
             let mut health = self.lock_health();
             let entry = &mut health[shard];
@@ -357,13 +409,11 @@ impl ShardedProvider {
             }
         };
         if quarantined {
-            self.lock_stats().quarantines += 1;
             self.handles.quarantines.inc();
             self.telemetry
                 .event(TraceKind::ShardQuarantine, shard as u64);
         }
         if reinstated {
-            self.lock_stats().reinstatements += 1;
             self.handles.reinstatements.inc();
             self.telemetry
                 .event(TraceKind::ShardReinstate, shard as u64);
@@ -393,14 +443,12 @@ impl SafeBrowsingService for ShardedProvider {
             match self.shards[index].update(request) {
                 Ok(response) => {
                     if position > 0 {
-                        self.lock_stats().update_failovers += 1;
                         self.handles.update_failovers.inc();
                     }
                     return Ok(response);
                 }
                 Err(error) if error.is_retryable() => {
-                    self.lock_stats().shard_failures[index] += 1;
-                    self.handles.shard_failures.inc();
+                    self.note_shard_failure(index);
                     last_error = Some(error);
                 }
                 Err(error) => return Err(error),
@@ -447,10 +495,9 @@ impl SafeBrowsingService for ShardedProvider {
             slots_of[self.shard_for(request)].push(slot);
         }
         {
-            let mut stats = self.lock_stats();
-            stats.batches += 1;
+            let mut per_shard = self.lock_per_shard();
             for (shard, slots) in slots_of.iter().enumerate() {
-                stats.requests_routed[shard] += slots.len();
+                per_shard.requests_routed[shard] += slots.len();
             }
         }
         self.handles.batches.inc();
@@ -483,10 +530,7 @@ impl SafeBrowsingService for ShardedProvider {
                     }
                 }
             }
-            if probes > 0 {
-                self.lock_stats().probes += probes;
-                self.handles.probes.add(probes as u64);
-            }
+            self.handles.probes.add(probes as u64);
             if attempted.is_empty() {
                 // Every shard this batch needs is sitting out a quarantine:
                 // the fleet is down for this client right now, and a retry
@@ -576,7 +620,6 @@ impl SafeBrowsingService for ShardedProvider {
                         .and_then(|policy| policy.latency_threshold)
                         .is_some_and(|threshold| elapsed > threshold);
                     if slow {
-                        self.lock_stats().slow_responses += 1;
                         self.handles.slow_responses.inc();
                     }
                     // A successful-but-slow answer is still used, but it
@@ -586,8 +629,7 @@ impl SafeBrowsingService for ShardedProvider {
                 Err(error) if error.is_retryable() => {
                     failed_shards += 1;
                     degraded += slots_of[shard].len();
-                    self.lock_stats().shard_failures[shard] += 1;
-                    self.handles.shard_failures.inc();
+                    self.note_shard_failure(shard);
                     self.note_shard_outcome(shard, false);
                     if first_retryable.is_none() {
                         first_retryable = Some(error);
@@ -602,11 +644,6 @@ impl SafeBrowsingService for ShardedProvider {
             // Every shard actually asked failed retryably: the whole fleet
             // (as seen by this batch) is down.
             return Err(first_retryable.expect("all attempted shards failed"));
-        }
-        {
-            let mut stats = self.lock_stats();
-            stats.degraded_requests += degraded;
-            stats.quarantined_skips += quarantine_skips;
         }
         self.handles.degraded_requests.add(degraded as u64);
         self.handles.quarantined_skips.add(quarantine_skips as u64);
@@ -1066,5 +1103,50 @@ mod tests {
         assert_eq!(stats.quarantines, 0);
         assert_eq!(stats.quarantined_skips, 0);
         assert_eq!(stats.shard_failures, vec![5, 0]);
+    }
+
+    #[test]
+    fn stats_and_registry_agree_after_a_late_with_telemetry() {
+        let backend = backend();
+        let flaky = FlakyShard::over(backend.clone(), true);
+        let fleet = ShardedProvider::new(vec![flaky as ShardHandle, backend.clone()]);
+        fleet
+            .full_hashes_batch(&[low_request(), high_request()])
+            .unwrap();
+        let before = fleet.stats();
+        assert_eq!((before.batches, before.degraded_requests), (1, 1));
+
+        // The counts so far move onto the new plane; later events land on
+        // it too, so the two views never diverge.
+        let plane = Telemetry::default();
+        let fleet = fleet.with_telemetry(plane.clone());
+        assert_eq!(fleet.stats(), before);
+        fleet
+            .full_hashes_batch(&[low_request(), high_request()])
+            .unwrap();
+
+        let stats = fleet.stats();
+        let registry = plane.snapshot();
+        assert_eq!(stats.shard_failures, vec![2, 0]);
+        for (name, field) in [
+            ("fleet.batches", stats.batches),
+            (
+                "fleet.requests_routed",
+                stats.requests_routed.iter().sum::<usize>(),
+            ),
+            (
+                "fleet.shard_failures",
+                stats.shard_failures.iter().sum::<usize>(),
+            ),
+            ("fleet.degraded_requests", stats.degraded_requests),
+            ("fleet.update_failovers", stats.update_failovers),
+            ("fleet.quarantines", stats.quarantines),
+            ("fleet.reinstatements", stats.reinstatements),
+            ("fleet.probes", stats.probes),
+            ("fleet.quarantined_skips", stats.quarantined_skips),
+            ("fleet.slow_responses", stats.slow_responses),
+        ] {
+            assert_eq!(registry.counter(name), Some(field as u64), "{name}");
+        }
     }
 }

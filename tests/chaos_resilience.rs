@@ -35,13 +35,13 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use safe_browsing_privacy::client::{
-    BreakerPolicy, BreakerState, CircuitBreakerTransport, ClientConfig, RetryPolicy,
+    BreakerPolicy, BreakerState, CircuitBreakerTransport, ClientConfig, ClientError, RetryPolicy,
     RetryingTransport, SafeBrowsingClient, TcpTransport, Transport,
 };
 use safe_browsing_privacy::hash::Prefix;
 use safe_browsing_privacy::protocol::{
     Clock, FullHashRequest, FullHashResponse, Provider, SafeBrowsingService, ServiceError,
-    ThreatCategory, UpdateRequest, UpdateResponse, VirtualClock,
+    ThreatCategory, UpdateRequest, UpdateResponse, VirtualClock, MIN_IO_TIMEOUT,
 };
 use safe_browsing_privacy::server::{
     ChaosProxy, ChaosSchedule, Fault, HealthPolicy, SafeBrowsingServer, ShardHandle,
@@ -218,6 +218,99 @@ fn breaker_opens_and_recovers_over_the_wire() {
     assert_eq!(stats.half_open_probes, 1);
     assert!(stats.fast_failures >= 1);
     assert_eq!(proxy.shutdown().blackholes, 2);
+}
+
+/// One end-to-end lookup deadline over real sockets: a reply that hangs
+/// longer than `with_lookup_budget` allows is abandoned when the budget
+/// runs out — the TCP layer waits only for what remains, the retry layer
+/// stops instead of backing off — and the next lookup starts with a fresh
+/// budget.  Without the budget the same stack would ride both faults out
+/// (ten attempts, clean wire from the fourth exchange on) and succeed.
+#[test]
+fn a_lookup_budget_bounds_a_hanging_exchange_over_the_wire() {
+    let budget = Duration::from_millis(100);
+    let hang = Duration::from_millis(300);
+    let urls = evil_urls(1);
+    let server = build_server(&urls);
+    let tier = TcpServingTier::bind(server.clone(), TierConfig::default()).unwrap();
+    // The update runs clean; the first lookup's pooled connection is
+    // swallowed, its transparent reconnect gets half a reply that hangs.
+    let proxy = ChaosProxy::start(
+        tier.local_addr(),
+        ChaosSchedule::scripted(vec![
+            None,
+            Some(Fault::Blackhole),
+            Some(Fault::Stall { pause: hang }),
+        ]),
+    )
+    .unwrap();
+
+    let clock = Arc::new(VirtualClock::new());
+    let transport = Arc::new(RetryingTransport::with_clock(
+        CircuitBreakerTransport::new(
+            TcpTransport::new(proxy.local_addr()).unwrap(),
+            BreakerPolicy::default().with_failure_threshold(1_000),
+        ),
+        RetryPolicy::default()
+            .with_max_attempts(10)
+            .with_base_delay(Duration::from_millis(4)),
+        clock.clone(),
+    ));
+    let mut client = SafeBrowsingClient::new(
+        ClientConfig::subscribed_to([LIST]).with_lookup_budget(budget),
+        transport.clone(),
+    );
+    client.update().unwrap();
+
+    let started = std::time::Instant::now();
+    let error = client.check_url(&urls[0]).unwrap_err();
+    let elapsed = started.elapsed();
+    assert!(
+        matches!(&error, ClientError::Service(error) if error.is_retryable()),
+        "a spent budget surfaces the last retryable error, got {error:?}"
+    );
+    // The wait ended with the budget (plus at most one floor-clamped I/O
+    // timeout), not with the proxy closing the hung connection.
+    assert!(
+        elapsed < hang,
+        "lookup took {elapsed:?} under a {budget:?} budget (+ {MIN_IO_TIMEOUT:?})"
+    );
+    let stats = transport.stats();
+    assert_eq!(stats.budget_stops, 1);
+    assert_eq!((stats.retries, stats.unavailable_retries), (0, 0));
+    assert_eq!(clock.total_slept(), Duration::ZERO);
+    assert_eq!(proxy.stats().exchanges, 3, "update, blackhole, stall");
+
+    // A fresh budget per lookup: the wire is clean now, the verdicts match
+    // the blacklist.
+    assert!(client.check_url(&urls[0]).unwrap().is_malicious());
+    assert!(!client
+        .check_url("http://benign.example/")
+        .unwrap()
+        .is_malicious());
+    assert_eq!(transport.stats().budget_stops, 1);
+
+    // The ledger is the provider's log: the stalled request reached the
+    // provider (its reply hung), the blackholed one never did, and the
+    // failed lookup's group is recorded once however often it was sent.
+    let logged: Vec<Vec<Prefix>> = server
+        .query_log()
+        .requests()
+        .iter()
+        .map(|r| r.prefixes.clone())
+        .collect();
+    let recorded: Vec<Vec<Prefix>> = client
+        .disclosure_ledger()
+        .groups()
+        .map(|g| g.prefixes.clone())
+        .collect();
+    assert_eq!(logged, recorded);
+    assert_eq!(recorded.len(), 2, "the failed lookup and its repeat");
+
+    drop(client);
+    drop(transport);
+    let stats = proxy.shutdown();
+    assert_eq!((stats.blackholes, stats.stalls), (1, 1));
 }
 
 /// A shard that fails retryably while `down` is set — the flaky member of

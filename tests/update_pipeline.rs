@@ -239,14 +239,18 @@ fn update_driver_follows_the_provider_schedule() {
 fn malformed_update_responses_are_rejected_atomically() {
     use safe_browsing_privacy::client::Transport;
     use safe_browsing_privacy::protocol::{
-        Chunk, FullHashRequest, FullHashResponse, ServiceError, UpdateResponse,
+        Chunk, DeadlineBudget, FullHashRequest, FullHashResponse, ServiceError, UpdateResponse,
     };
 
     /// A provider that duplicates a chunk number within one response.
     #[derive(Debug)]
     struct DuplicatingProvider;
     impl Transport for DuplicatingProvider {
-        fn update(&self, _: &UpdateRequest) -> Result<UpdateResponse, ServiceError> {
+        fn update_within(
+            &self,
+            _: &UpdateRequest,
+            _: &DeadlineBudget,
+        ) -> Result<UpdateResponse, ServiceError> {
             Ok(UpdateResponse {
                 chunks: vec![
                     Chunk::add(LIST, 1, vec![prefix32("a.example/")]),
@@ -255,9 +259,10 @@ fn malformed_update_responses_are_rejected_atomically() {
                 next_update_seconds: 60,
             })
         }
-        fn full_hashes_batch(
+        fn full_hashes_batch_within(
             &self,
             _: &[FullHashRequest],
+            _: &DeadlineBudget,
         ) -> Result<Vec<FullHashResponse>, ServiceError> {
             Ok(Vec::new())
         }
