@@ -18,7 +18,8 @@
 //! [`UpdateResponse`](sb_protocol::UpdateResponse) converges to the same
 //! membership for every client, however stale.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::borrow::Cow;
+use std::collections::{BTreeMap, HashMap};
 
 use sb_hash::Prefix;
 use sb_protocol::{Chunk, ChunkKind, ClientListState, ListName};
@@ -64,8 +65,10 @@ pub struct JournalStats {
     pub add_chunks: usize,
     /// Sub chunks currently live in the journal.
     pub sub_chunks: usize,
-    /// Prefix entries across all live chunks (the replay cost of a fresh
-    /// client, in prefixes).
+    /// Prefix entries *stored* across all live chunks, subs included.
+    /// Serving nets adds against later subs before compaction has, so this
+    /// is an upper bound on the prefixes a fresh client's replay carries,
+    /// not the count itself.
     pub live_prefixes: usize,
     /// Chunks appended over the journal's lifetime.
     pub appends: usize,
@@ -192,41 +195,43 @@ impl ChunkJournal {
     /// each group in ascending chunk number — the emission side of the
     /// response ordering contract.
     ///
-    /// The served view is *netted*: a prefix that an add chunk carries
-    /// and a chronologically-later sub chunk of the **whole journal**
-    /// removes is stripped from the add before emission.  Without this,
-    /// subs-before-adds application would resurrect it (the sub applies
-    /// first, then the add re-inserts) — and a client whose held ranges
-    /// interleave with the served chunks (e.g. holding the sub but not
-    /// the add it cancels) would resurrect it permanently.  Netting over
-    /// the full journal rather than just the response makes the served
-    /// view identical to what stored compaction would persist, so the
-    /// response a client sees does not depend on whether compaction has
-    /// run yet.  Adds emptied by netting are still emitted (number
-    /// intact, no prefixes) so the client records them as applied instead
-    /// of re-requesting them forever.
+    /// The served view is *netted*: an add chunk's copy of `p` is
+    /// stripped iff some chronologically later sub chunk of the **whole
+    /// journal** carries `p`, whether or not that sub is in the response.
+    /// Subs-before-adds application would otherwise resurrect a removed
+    /// prefix (the sub applies first, then the add re-inserts) —
+    /// permanently so on a client that holds the sub but not the add it
+    /// cancels.  It also makes the served view identical to what stored
+    /// compaction would persist, so a response does not depend on whether
+    /// compaction has run yet.  Adds emptied by netting are still emitted
+    /// (number intact, no prefixes) so the client records them as applied
+    /// instead of re-requesting them forever.
+    ///
+    /// Cost follows what the client lacks, not what the journal holds: a
+    /// caught-up client is answered from `(kind, number)` comparisons
+    /// alone, a delta reads the chunks from its oldest missing add
+    /// onwards, and only a fresh client walks the whole list.
     pub fn missing_chunks(&self, list: &ListName, state: &ClientListState) -> Vec<Chunk> {
         let Some(journal) = self.lists.get(list) else {
             return Vec::new();
         };
-        let strips = net_strip_map(&journal.chunks);
-        let mut missing: Vec<Chunk> = Vec::new();
-        for (idx, chunk) in journal.chunks.iter().enumerate() {
-            if state.holds(chunk.kind, chunk.number) {
-                continue;
-            }
-            let mut chunk = chunk.clone();
-            if let Some(strip) = strips.get(&idx) {
-                chunk.prefixes.retain(|p| !strip.contains(p));
-            }
-            missing.push(chunk);
-        }
-        let (mut subs, mut adds): (Vec<Chunk>, Vec<Chunk>) =
-            missing.into_iter().partition(|c| c.kind == ChunkKind::Sub);
-        subs.sort_by_key(|c| c.number);
-        adds.sort_by_key(|c| c.number);
-        subs.extend(adds);
-        subs
+        // Numbers are allocated in append order and compaction never
+        // reorders, so each kind is already ascending in `chunks`.
+        let chunks = &journal.chunks;
+        let lacks = |chunk: &Chunk| !state.holds(chunk.kind, chunk.number);
+        let mut missing: Vec<Chunk> = chunks
+            .iter()
+            .filter(|c| c.kind == ChunkKind::Sub && lacks(c))
+            .cloned()
+            .collect();
+        missing.extend(netted_adds(chunks, lacks).into_iter().map(|add| {
+            Chunk::add(
+                list.clone(),
+                chunks[add.idx].number,
+                add.prefixes.into_owned(),
+            )
+        }));
+        missing
     }
 
     /// True when the journal has entries for `list`.
@@ -271,31 +276,32 @@ impl ChunkJournal {
         stats
     }
 
-    /// The stored netting pass: strip the [`net_strip_map`] prefixes from
-    /// the journal's add chunks, dropping adds that become empty.  Sub
-    /// chunks are kept verbatim (stale clients need them).
+    /// The stored netting pass: every add chunk [`netted_adds`] changed is
+    /// replaced by its netted form, and dropped when that form is empty.
+    /// Sub chunks are kept verbatim (stale clients need them).
     fn compact_list_inner(&mut self, list: &ListName) {
         let Some(journal) = self.lists.get_mut(list) else {
             return;
         };
-        let netted = net_strip_map(&journal.chunks);
-        if netted.is_empty() {
-            journal.compacted_at = journal.chunks.len();
-            let live = journal.chunks.len();
-            self.handles.compactions.inc();
-            self.telemetry.event(TraceKind::Compaction, live as u64);
-            return;
-        }
-        let netted_count: usize = netted.values().map(HashSet::len).sum();
+        let changed: Vec<(usize, Vec<Prefix>, usize)> = netted_adds(&journal.chunks, |_| true)
+            .into_iter()
+            .filter_map(|add| match add.prefixes {
+                Cow::Owned(prefixes) => Some((add.idx, prefixes, add.stripped)),
+                Cow::Borrowed(_) => None,
+            })
+            .collect();
+        let mut changed = changed.into_iter().peekable();
+        let mut netted_count = 0usize;
         let mut dropped = 0usize;
         let mut kept: Vec<Chunk> = Vec::with_capacity(journal.chunks.len());
         for (idx, mut chunk) in journal.chunks.drain(..).enumerate() {
-            if let Some(strip) = netted.get(&idx) {
-                chunk.prefixes.retain(|p| !strip.contains(p));
-                if chunk.prefixes.is_empty() {
+            if let Some((_, prefixes, stripped)) = changed.next_if(|(at, ..)| *at == idx) {
+                netted_count += stripped;
+                if prefixes.is_empty() {
                     dropped += 1;
                     continue; // an emptied add chunk vanishes
                 }
+                chunk.prefixes = prefixes;
             }
             kept.push(chunk);
         }
@@ -309,38 +315,70 @@ impl ChunkJournal {
     }
 }
 
-/// The netting walk shared by serve-time netting
-/// ([`ChunkJournal::missing_chunks`]) and stored compaction: a
-/// chronological pass over `chunks` in which an occurrence of prefix `p`
-/// in an add chunk is *pending* until a later sub chunk carries `p`, at
-/// which point every pending occurrence is netted.  Occurrences added
-/// *after* the sub stay — the prefix was re-added.  Returns, per chunk
-/// index, the prefixes to strip from that add chunk; subs are never in
-/// the map.  Keeping this in one place is what guarantees the served
-/// view and the stored view net identically.
-fn net_strip_map(chunks: &[Chunk]) -> HashMap<usize, HashSet<Prefix>> {
-    // pending[p] = indices of add chunks whose copy of `p` is not yet
-    // cancelled by a later sub.
-    let mut pending: HashMap<Prefix, Vec<usize>> = HashMap::new();
-    let mut netted: HashMap<usize, HashSet<Prefix>> = HashMap::new();
-    for (idx, chunk) in chunks.iter().enumerate() {
-        match chunk.kind {
-            ChunkKind::Add => {
-                for p in &chunk.prefixes {
-                    pending.entry(*p).or_default().push(idx);
-                }
-            }
-            ChunkKind::Sub => {
-                for p in &chunk.prefixes {
-                    if let Some(holders) = pending.remove(p) {
-                        for holder in holders {
-                            netted.entry(holder).or_default().insert(*p);
+/// One wanted add chunk as [`netted_adds`] nets it.
+struct NettedAdd<'a> {
+    /// The chunk's position in the journal's chronological order.
+    idx: usize,
+    /// The chunk's prefixes without the netted ones — borrowed when none
+    /// was netted, so an untouched chunk is never copied here.
+    prefixes: Cow<'a, [Prefix]>,
+    /// Distinct prefixes netted out of this chunk.
+    stripped: usize,
+}
+
+/// The netting rule, in the one function that serve-time netting
+/// ([`ChunkJournal::missing_chunks`]) and stored compaction share — which
+/// is what guarantees the served view and the stored view net identically:
+/// **an add chunk's copy of `p` is stripped iff some chronologically later
+/// sub chunk carries `p`.**  A copy added *after* the sub stays — the
+/// prefix was re-added.
+///
+/// One newest → oldest walk carries the prefixes of the sub chunks passed
+/// so far and nets each add chunk `wanted` selects against them, stopping
+/// at the oldest wanted add: nothing older can change the answer.  With no
+/// add wanted no chunk body is read and nothing is allocated.  Returns the
+/// wanted adds in chronological order.
+fn netted_adds(chunks: &[Chunk], wanted: impl Fn(&Chunk) -> bool) -> Vec<NettedAdd<'_>> {
+    let is_wanted = |chunk: &Chunk| chunk.kind == ChunkKind::Add && wanted(chunk);
+    let Some(oldest) = chunks.iter().position(is_wanted) else {
+        return Vec::new();
+    };
+    // Later-sub prefix → the add chunk it was last stripped from, so a
+    // prefix a chunk carries twice counts once in `stripped`.
+    let mut later_subs: HashMap<Prefix, usize> = HashMap::new();
+    let mut netted = Vec::new();
+    for (idx, chunk) in chunks.iter().enumerate().skip(oldest).rev() {
+        if chunk.kind == ChunkKind::Sub {
+            later_subs.extend(chunk.prefixes.iter().map(|p| (*p, usize::MAX)));
+        } else if is_wanted(chunk) {
+            let all = chunk.prefixes.as_slice();
+            let mut stripped = 0usize;
+            let prefixes = match all.iter().position(|p| later_subs.contains_key(p)) {
+                None => Cow::Borrowed(all),
+                Some(first) => {
+                    let mut kept = Vec::with_capacity(all.len());
+                    kept.extend_from_slice(&all[..first]);
+                    kept.extend(all[first..].iter().filter(|p| {
+                        let Some(last) = later_subs.get_mut(p) else {
+                            return true;
+                        };
+                        if *last != idx {
+                            *last = idx;
+                            stripped += 1;
                         }
-                    }
+                        false
+                    }));
+                    Cow::Owned(kept)
                 }
-            }
+            };
+            netted.push(NettedAdd {
+                idx,
+                prefixes,
+                stripped,
+            });
         }
     }
+    netted.reverse();
     netted
 }
 
@@ -614,6 +652,232 @@ mod tests {
             ("journal.compactions", stats.compactions),
         ] {
             assert_eq!(registry.counter(name), Some(field as u64), "{name}");
+        }
+    }
+
+    // ---- differential + convergence properties of the netting walk ------
+
+    use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
+    use std::collections::{BTreeSet, HashSet};
+
+    /// The forward pending-map pass `netted_adds` replaced, kept as the
+    /// reference: an occurrence of `p` in an add chunk is *pending* until
+    /// a later sub chunk carries `p`, at which point every pending
+    /// occurrence is netted.  Returns, per chunk index, the prefixes to
+    /// strip from that add chunk.
+    fn net_strip_map(chunks: &[Chunk]) -> HashMap<usize, HashSet<Prefix>> {
+        let mut pending: HashMap<Prefix, Vec<usize>> = HashMap::new();
+        let mut netted: HashMap<usize, HashSet<Prefix>> = HashMap::new();
+        for (idx, chunk) in chunks.iter().enumerate() {
+            match chunk.kind {
+                ChunkKind::Add => {
+                    for p in &chunk.prefixes {
+                        pending.entry(*p).or_default().push(idx);
+                    }
+                }
+                ChunkKind::Sub => {
+                    for p in &chunk.prefixes {
+                        if let Some(holders) = pending.remove(p) {
+                            for holder in holders {
+                                netted.entry(holder).or_default().insert(*p);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        netted
+    }
+
+    /// Reference serving: clone every missing chunk, strip, subs first.
+    fn reference_missing(chunks: &[Chunk], state: &ClientListState) -> Vec<Chunk> {
+        let strips = net_strip_map(chunks);
+        let mut missing: Vec<Chunk> = Vec::new();
+        for (idx, chunk) in chunks.iter().enumerate() {
+            if state.holds(chunk.kind, chunk.number) {
+                continue;
+            }
+            let mut chunk = chunk.clone();
+            if let Some(strip) = strips.get(&idx) {
+                chunk.prefixes.retain(|p| !strip.contains(p));
+            }
+            missing.push(chunk);
+        }
+        let (mut subs, mut adds): (Vec<Chunk>, Vec<Chunk>) =
+            missing.into_iter().partition(|c| c.kind == ChunkKind::Sub);
+        subs.sort_by_key(|c| c.number);
+        adds.sort_by_key(|c| c.number);
+        subs.extend(adds);
+        subs
+    }
+
+    /// Reference compaction of one list; returns (netted, dropped).
+    fn reference_compact(chunks: &mut Vec<Chunk>) -> (usize, usize) {
+        let netted = net_strip_map(chunks);
+        let netted_count = netted.values().map(HashSet::len).sum();
+        let mut dropped = 0;
+        let mut kept = Vec::new();
+        for (idx, mut chunk) in chunks.drain(..).enumerate() {
+            if let Some(strip) = netted.get(&idx) {
+                chunk.prefixes.retain(|p| !strip.contains(p));
+                if chunk.prefixes.is_empty() {
+                    dropped += 1;
+                    continue;
+                }
+            }
+            kept.push(chunk);
+        }
+        *chunks = kept;
+        (netted_count, dropped)
+    }
+
+    /// A client that evolves through the protocol alone.  Each poll it
+    /// applies every served sub and the adds `take` selects, subs first —
+    /// so its state grows holes, subs held without the adds they cancel,
+    /// and numbers compaction has since dropped.
+    #[derive(Default)]
+    struct ModelClient {
+        state: ClientListState,
+        members: BTreeSet<Prefix>,
+    }
+
+    impl ModelClient {
+        fn apply(&mut self, response: &[Chunk], take: u64) {
+            let mut adds_seen = 0u32;
+            for chunk in response {
+                match chunk.kind {
+                    ChunkKind::Sub => {
+                        for q in &chunk.prefixes {
+                            self.members.remove(q);
+                        }
+                    }
+                    ChunkKind::Add => {
+                        adds_seen += 1;
+                        if take >> (adds_seen % 64) & 1 == 0 {
+                            continue;
+                        }
+                        self.members.extend(chunk.prefixes.iter().copied());
+                    }
+                }
+                self.state.record(chunk.kind, chunk.number);
+            }
+        }
+    }
+
+    /// A client state holding exactly the chunk numbers whose bit is set.
+    fn masked_state(adds: u64, subs: u64) -> ClientListState {
+        let mut state = ClientListState::default();
+        for n in 1..=64u32 {
+            if adds >> (n - 1) & 1 == 1 {
+                state.record(ChunkKind::Add, n);
+            }
+            if subs >> (n - 1) & 1 == 1 {
+                state.record(ChunkKind::Sub, n);
+            }
+        }
+        state
+    }
+
+    /// One op: (list, action, prefix values, bits).  Actions 0–3 append an
+    /// add chunk, 4–6 a sub chunk, 7 compacts the list, 8–9 poll it.
+    type Op = (usize, u8, Vec<u32>, u64);
+
+    fn run_case(
+        auto_compact_above: usize,
+        ops: &[Op],
+        masks: &[(u64, u64)],
+    ) -> Result<(), TestCaseError> {
+        let names = [ListName::new("a"), ListName::new("b")];
+        let mut journal = ChunkJournal::new(auto_compact_above);
+        // The reference side: stored chunks, true membership, counters.
+        let mut stored: [Vec<Chunk>; 2] = Default::default();
+        let mut members: [BTreeSet<Prefix>; 2] = Default::default();
+        let (mut netted, mut dropped) = (0usize, 0usize);
+        let mut clients: [ModelClient; 2] = Default::default();
+
+        for (which, action, values, bits) in ops {
+            let (which, list) = (*which, &names[*which]);
+            let prefixes: Vec<Prefix> = values.iter().copied().map(p).collect();
+            let compactions = journal.stats().compactions;
+            match action {
+                0..=6 => {
+                    let kind = if *action <= 3 {
+                        members[which].extend(prefixes.iter().copied());
+                        ChunkKind::Add
+                    } else {
+                        for q in &prefixes {
+                            members[which].remove(q);
+                        }
+                        ChunkKind::Sub
+                    };
+                    let number = journal.append(list.clone(), kind, prefixes.clone());
+                    stored[which].push(Chunk {
+                        list: list.clone(),
+                        number,
+                        kind,
+                        prefixes,
+                    });
+                }
+                7 => journal.compact_list(list),
+                _ => {
+                    let client = &mut clients[which];
+                    let response = journal.missing_chunks(list, &client.state);
+                    prop_assert_eq!(&response, &reference_missing(&stored[which], &client.state));
+                    client.apply(&response, *bits);
+                }
+            }
+            // Whenever the journal compacted (explicitly or by its own
+            // trigger), so does the reference; the stored views must agree.
+            if journal.stats().compactions > compactions {
+                let (n, d) = reference_compact(&mut stored[which]);
+                netted += n;
+                dropped += d;
+            }
+            let live = journal.lists.get(list).map_or(&[][..], |l| &l.chunks);
+            prop_assert_eq!(live, &stored[which][..]);
+        }
+        let stats = journal.stats();
+        prop_assert_eq!(stats.netted_prefixes, netted);
+        prop_assert_eq!(stats.dropped_chunks, dropped);
+
+        for (which, list) in names.iter().enumerate() {
+            // Arbitrary held sets — fresh, caught up, every sub but no
+            // add, every add but no sub, random holes — are served chunk
+            // for chunk as the reference serves them, order included.
+            let fixed = [(0, 0), (u64::MAX, u64::MAX), (0, u64::MAX), (u64::MAX, 0)];
+            for (adds, subs) in fixed.iter().chain(masks) {
+                let state = masked_state(*adds, *subs);
+                prop_assert_eq!(
+                    journal.missing_chunks(list, &state),
+                    reference_missing(&stored[which], &state)
+                );
+            }
+            // Convergence: one complete poll brings the client, whatever
+            // it skipped on the way, to the server's membership, and the
+            // next poll finds nothing.
+            let client = &mut clients[which];
+            let response = journal.missing_chunks(list, &client.state);
+            client.apply(&response, u64::MAX);
+            prop_assert_eq!(&client.members, &members[which]);
+            prop_assert!(journal.missing_chunks(list, &client.state).is_empty());
+        }
+        Ok(())
+    }
+
+    proptest! {
+        /// Small prefix domain and chunk count, so re-adds, duplicates
+        /// inside one chunk, subs of absent prefixes and emptied adds are
+        /// the common case rather than the rare one.
+        fn netting_walk_matches_the_forward_reference_and_converges(
+            bound in 0usize..3,
+            ops in prop::collection::vec(
+                (0usize..2, 0u8..10, prop::collection::vec(0u32..8, 0..5), any::<u64>()),
+                0..48,
+            ),
+            masks in prop::collection::vec((any::<u64>(), any::<u64>()), 0..4),
+        ) {
+            run_case([3, 8, usize::MAX][bound], &ops, &masks)?;
         }
     }
 }

@@ -71,8 +71,10 @@ pub struct SafeBrowsingServer {
     /// logging proceed under the other locks.
     lists: RwLock<BTreeMap<ListName, Blacklist>>,
     /// Per-list chunk journal (append + compaction), used to serve exact
-    /// incremental deltas.
-    journal: Mutex<ChunkJournal>,
+    /// incremental deltas.  Updates and stats read it, so polls run
+    /// concurrently; appends and compaction write.  Lock order where both
+    /// are held: `lists`, then `journal`.
+    journal: RwLock<ChunkJournal>,
     log: Mutex<LogState>,
     next_update_seconds: u64,
     /// Half-width of the deterministic per-response jitter applied to the
@@ -88,7 +90,7 @@ impl SafeBrowsingServer {
         SafeBrowsingServer {
             provider,
             lists: RwLock::new(BTreeMap::new()),
-            journal: Mutex::new(ChunkJournal::default()),
+            journal: RwLock::new(ChunkJournal::default()),
             log: Mutex::new(LogState {
                 query_log: QueryLog::new(),
                 clock: 0,
@@ -111,12 +113,12 @@ impl SafeBrowsingServer {
     /// Publishes the server's chunk-journal counters and trace events
     /// into a shared [`sb_telemetry::Telemetry`] plane — one scrape then
     /// spans the backend alongside every other layer sharing the handle.
-    pub fn with_telemetry(self, telemetry: sb_telemetry::Telemetry) -> Self {
-        {
-            let mut journal = self.lock_journal();
-            let current = std::mem::take(&mut *journal);
-            *journal = current.with_telemetry(telemetry);
-        }
+    pub fn with_telemetry(mut self, telemetry: sb_telemetry::Telemetry) -> Self {
+        let journal = self
+            .journal
+            .get_mut()
+            .expect("server journal lock poisoned");
+        *journal = std::mem::take(journal).with_telemetry(telemetry);
         self
     }
 
@@ -336,24 +338,28 @@ impl SafeBrowsingServer {
     }
 
     fn push_chunk(&self, list: ListName, kind: ChunkKind, prefixes: Vec<Prefix>) {
-        self.lock_journal().append(list, kind, prefixes);
+        self.write_journal().append(list, kind, prefixes);
     }
 
     /// Journal accounting: live chunks and prefixes per kind, appends,
     /// compaction effects.
     pub fn journal_stats(&self) -> JournalStats {
-        self.lock_journal().stats()
+        self.read_journal().stats()
     }
 
     /// Compacts every list's journal now (netting subbed prefixes out of
     /// earlier add chunks, dropping emptied add chunks).  Compaction also
     /// runs automatically when a list's journal outgrows its bound.
     pub fn compact_journal(&self) {
-        self.lock_journal().compact_all();
+        self.write_journal().compact_all();
     }
 
-    fn lock_journal(&self) -> std::sync::MutexGuard<'_, ChunkJournal> {
-        self.journal.lock().expect("server journal lock poisoned")
+    fn read_journal(&self) -> std::sync::RwLockReadGuard<'_, ChunkJournal> {
+        self.journal.read().expect("server journal lock poisoned")
+    }
+
+    fn write_journal(&self) -> std::sync::RwLockWriteGuard<'_, ChunkJournal> {
+        self.journal.write().expect("server journal lock poisoned")
     }
 }
 
@@ -376,15 +382,19 @@ impl SafeBrowsingService for SafeBrowsingServer {
     /// Serves the exact missing delta for each requested list: the journal
     /// is consulted with the client's advertised chunk ranges, so chunks
     /// the client already holds are never re-sent, and each list's chunks
-    /// come back **subs first** (the response ordering contract).
+    /// come back **subs first** (the response ordering contract).  Takes
+    /// only read locks, so any number of polls are served concurrently.
     fn update(&self, request: &UpdateRequest) -> Result<UpdateResponse, ServiceError> {
         let lists = self.read_lists();
-        let journal = self.lock_journal();
+        // Validate the whole request up-front, as `full_hashes_batch`
+        // does: a rejected request costs O(lists), not the deltas of the
+        // lists named before the unknown one.
+        if let Some((unknown, _)) = request.lists.iter().find(|(l, _)| !lists.contains_key(l)) {
+            return Err(ServiceError::ListUnknown(unknown.clone()));
+        }
+        let journal = self.read_journal();
         let mut chunks = Vec::new();
         for (list, client_state) in &request.lists {
-            if !lists.contains_key(list) {
-                return Err(ServiceError::ListUnknown(list.clone()));
-            }
             chunks.extend(journal.missing_chunks(list, client_state));
         }
         Ok(UpdateResponse {
@@ -680,6 +690,26 @@ mod tests {
             .unwrap_err();
         assert_eq!(err, ServiceError::ListUnknown("ghost-shavar".into()));
         assert!(!err.is_retryable());
+    }
+
+    #[test]
+    fn update_validates_every_list_name_before_serving_any() {
+        let server = server_with_list();
+        server
+            .inject_prefixes(
+                "goog-malware-shavar",
+                (0..10_000).map(Prefix::from_u32).collect::<Vec<_>>(),
+            )
+            .unwrap();
+        let err = server
+            .update(&UpdateRequest {
+                lists: vec![
+                    ("goog-malware-shavar".into(), ClientListState::default()),
+                    ("ghost".into(), ClientListState::default()),
+                ],
+            })
+            .unwrap_err();
+        assert_eq!(err, ServiceError::ListUnknown("ghost".into()));
     }
 
     #[test]

@@ -13,14 +13,16 @@
 //!                  └─ DatabaseReader concurrent lookups, never blocked
 //! ```
 
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 use safe_browsing_privacy::client::{ClientConfig, SafeBrowsingClient, UpdateDriver};
 use safe_browsing_privacy::hash::{prefix32, Prefix};
 use safe_browsing_privacy::protocol::{
-    Provider, SafeBrowsingService, ThreatCategory, UpdateRequest, VirtualClock,
+    ChunkKind, ClientListState, Provider, SafeBrowsingService, ThreatCategory, UpdateRequest,
+    VirtualClock,
 };
 use safe_browsing_privacy::server::SafeBrowsingServer;
 use safe_browsing_privacy::store::StoreBackend;
@@ -86,9 +88,9 @@ fn server_serves_exact_deltas_for_out_of_order_states() {
     server.blacklist_expressions(LIST, ["c.example/"]).unwrap(); // add 3
 
     // A client holding adds {1, 3} (hole at 2) gets exactly add 2.
-    let mut state = safe_browsing_privacy::protocol::ClientListState::default();
-    state.record(safe_browsing_privacy::protocol::ChunkKind::Add, 1);
-    state.record(safe_browsing_privacy::protocol::ChunkKind::Add, 3);
+    let mut state = ClientListState::default();
+    state.record(ChunkKind::Add, 1);
+    state.record(ChunkKind::Add, 3);
     let response = server
         .update(&UpdateRequest {
             lists: vec![(LIST.into(), state)],
@@ -203,6 +205,109 @@ fn concurrent_lookups_stay_correct_mid_update() {
     // The reader converged with the owning client.
     assert_eq!(reader.prefix_count(), client.database_prefix_count());
     assert!(client.metrics().updates == 30 + 1);
+}
+
+/// Updates only read the journal, so polls race the provider's writes:
+/// readers loop `update()` from their own evolving chunk state while one
+/// writer injects, removes and compacts.  No reader ever sees a removed
+/// prefix come back, every reader ends on the provider's final membership,
+/// and the test returning at all shows the `lists` → `journal` lock order
+/// holds on every path.
+#[test]
+fn concurrent_updates_race_journal_writes_and_converge() {
+    const READERS: usize = 4;
+    const ROUNDS: u32 = 60;
+    let server = server();
+    server
+        .inject_prefixes(LIST, (0..2_000u32).map(Prefix::from_u32))
+        .unwrap();
+    let start = Barrier::new(READERS + 1);
+    let written = AtomicBool::new(false);
+
+    let streams: Vec<BTreeSet<Prefix>> = std::thread::scope(|scope| {
+        let (server, start, written) = (&server, &start, &written);
+        let readers: Vec<_> = (0..READERS as u32)
+            .map(|reader| {
+                scope.spawn(move || {
+                    let mut state = ClientListState::default();
+                    let mut members: BTreeSet<Prefix> = BTreeSet::new();
+                    let mut removed: BTreeSet<Prefix> = BTreeSet::new();
+                    start.wait();
+                    for poll in 0u32.. {
+                        // Read before polling: once set, this poll sees
+                        // every write, takes every chunk and is the last.
+                        let last = written.load(Ordering::Acquire);
+                        let response = server
+                            .update(&UpdateRequest {
+                                lists: vec![(LIST.into(), state.clone())],
+                            })
+                            .unwrap();
+                        for chunk in &response.chunks {
+                            match chunk.kind {
+                                ChunkKind::Sub => {
+                                    for p in &chunk.prefixes {
+                                        members.remove(p);
+                                        removed.insert(*p);
+                                    }
+                                }
+                                // Leave holes: an add skipped now is
+                                // served later, netted against subs this
+                                // reader already holds.
+                                ChunkKind::Add
+                                    if !last && (poll + chunk.number + reader) % 3 == 0 =>
+                                {
+                                    continue
+                                }
+                                ChunkKind::Add => members.extend(chunk.prefixes.iter().copied()),
+                            }
+                            state.record(chunk.kind, chunk.number);
+                        }
+                        // The writer never re-adds what it removed.
+                        assert!(
+                            members.is_disjoint(&removed),
+                            "reader {reader}, poll {poll}: a removed prefix was resurrected"
+                        );
+                        if last {
+                            break;
+                        }
+                    }
+                    members
+                })
+            })
+            .collect();
+
+        start.wait();
+        for round in 0..ROUNDS {
+            let fresh = 10_000 + round * 20;
+            server
+                .inject_prefixes(LIST, (fresh..fresh + 20).map(Prefix::from_u32))
+                .unwrap();
+            // Remove half of an earlier round's chunk and a slice of the
+            // bulk load.
+            let stale = fresh.saturating_sub(40);
+            server
+                .remove_prefixes(LIST, (stale..stale + 10).map(Prefix::from_u32))
+                .unwrap();
+            server
+                .remove_prefixes(LIST, (round * 10..round * 10 + 10).map(Prefix::from_u32))
+                .unwrap();
+            if round % 7 == 6 {
+                server.compact_journal();
+            }
+        }
+        written.store(true, Ordering::Release);
+        readers
+            .into_iter()
+            .map(|reader| reader.join().expect("reader panicked"))
+            .collect()
+    });
+
+    let snapshot = server.list_snapshot(&LIST.into()).unwrap();
+    let expected: BTreeSet<Prefix> = snapshot.prefixes().collect();
+    assert!(server.journal_stats().compactions >= ROUNDS as usize / 7);
+    for members in &streams {
+        assert_eq!(members, &expected);
+    }
 }
 
 /// The update driver sleeps the provider's schedule between rounds, over a

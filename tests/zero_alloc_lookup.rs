@@ -11,7 +11,10 @@ use std::cell::Cell;
 use std::sync::Arc;
 
 use safe_browsing_privacy::client::{ClientConfig, SafeBrowsingClient};
-use safe_browsing_privacy::protocol::{Provider, ThreatCategory};
+use safe_browsing_privacy::hash::Prefix;
+use safe_browsing_privacy::protocol::{
+    ClientListState, Provider, SafeBrowsingService, ThreatCategory, UpdateRequest,
+};
 use safe_browsing_privacy::server::SafeBrowsingServer;
 use safe_browsing_privacy::store::StoreBackend;
 use safe_browsing_privacy::url::CanonicalUrl;
@@ -127,4 +130,72 @@ fn locally_resolved_lookups_do_not_allocate() {
             urls.len()
         );
     }
+}
+
+/// This thread's allocations for (a) one caught-up `client.update()` and
+/// (b) the provider serving one fixed six-chunk delta, against a list of
+/// `list_prefixes` prefixes.
+fn update_allocations(list_prefixes: u32) -> (u64, u64) {
+    let server = Arc::new(SafeBrowsingServer::new(Provider::Google));
+    server.create_list(LIST, ThreatCategory::Malware);
+    server
+        .inject_prefixes(LIST, (0..list_prefixes).map(Prefix::from_u32))
+        .expect("list exists"); // add 1: the whole list
+    let mut client = SafeBrowsingClient::in_process(
+        ClientConfig::subscribed_to([LIST]).with_backend(StoreBackend::Indexed),
+        server.clone(),
+    );
+    client.update().expect("initial sync");
+    client.update().expect("warm-up poll");
+
+    let before = thread_allocations();
+    client.update().expect("caught-up poll");
+    let caught_up = thread_allocations() - before;
+
+    // The same delta at every list size: four adds above the list's value
+    // range, one sub that nets the first of them, one sub that reaches
+    // into the big chunk the requesting client already holds.
+    const DELTA_BASE: u32 = 1_000_000;
+    for chunk in 0..4 {
+        let start = DELTA_BASE + chunk * 100;
+        server
+            .inject_prefixes(LIST, (start..start + 100).map(Prefix::from_u32))
+            .expect("list exists");
+    }
+    for removed in [DELTA_BASE..DELTA_BASE + 50, 0..10] {
+        server
+            .remove_prefixes(LIST, removed.map(Prefix::from_u32))
+            .expect("list exists");
+    }
+    let request = UpdateRequest {
+        lists: vec![(LIST.into(), ClientListState::up_to(1, 0))],
+    };
+    // `server.update` directly: client-side tree growth is not in the count.
+    let before = thread_allocations();
+    let response = server.update(&request).expect("delta served");
+    let serving = thread_allocations() - before;
+    assert_eq!(response.chunks.len(), 6);
+    assert_eq!(
+        response.chunks[2].prefixes.len(),
+        50,
+        "add 2 is served netted"
+    );
+    (caught_up, serving)
+}
+
+/// `update()` costs what the client is missing, not what the journal
+/// holds — as allocation counts, which repeat exactly where clocks drift.
+#[test]
+fn update_allocations_do_not_grow_with_the_list() {
+    let (small_poll, small_delta) = update_allocations(10_000);
+    let (large_poll, large_delta) = update_allocations(200_000);
+    assert_eq!(
+        small_poll, large_poll,
+        "a caught-up poll allocates the same at 10k and 200k prefixes"
+    );
+    assert!(small_poll <= 64, "caught-up poll: {small_poll} allocations");
+    assert_eq!(
+        small_delta, large_delta,
+        "serving a fixed delta allocates the same at 10k and 200k prefixes"
+    );
 }
